@@ -61,7 +61,6 @@ import (
 	"chainckpt/internal/heuristics"
 	"chainckpt/internal/jobstore"
 	"chainckpt/internal/obs"
-	"chainckpt/internal/ops"
 	"chainckpt/internal/platform"
 	"chainckpt/internal/replay"
 	"chainckpt/internal/runtime"
@@ -503,79 +502,6 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	return obs.ContextWithSpan(ctx, s)
 }
 func SpanFromContext(ctx context.Context) *Span { return obs.SpanFrom(ctx) }
-
-// OpsMetrics is the metric bundle of the ops plane (internal/ops): SLO
-// burn-rate gauges, admission-control outcome counters and self-tuning
-// event counters, all on the chainckpt_slo_* / chainckpt_admission_* /
-// chainckpt_tuner_* families.
-type OpsMetrics = ops.Metrics
-
-// NewOpsMetrics registers the ops-plane metric families on reg (nil reg
-// returns nil; every ops component tolerates nil metrics).
-func NewOpsMetrics(reg *MetricsRegistry) *OpsMetrics { return ops.NewMetrics(reg) }
-
-// AdmissionClass is a request priority class: interactive work is
-// granted ahead of batch work and survives load-shedding longer.
-type AdmissionClass = ops.Class
-
-const (
-	AdmissionInteractive = ops.Interactive
-	AdmissionBatch       = ops.Batch
-)
-
-// AdmissionController is the bounded-queue admission gate ahead of the
-// planning pools: Admit blocks until a slot frees, the context deadline
-// expires, or the request is shed (queue full, or batch work during a
-// burn-coupled shed); ShedError carries the Retry-After hint.
-type AdmissionController = ops.Controller
-type AdmissionConfig = ops.ControllerConfig
-type ShedError = ops.ShedError
-
-// NewAdmissionController builds an admission controller with cfg's
-// bounds, recording outcomes on m (nil m records nothing).
-func NewAdmissionController(cfg AdmissionConfig, m *OpsMetrics) *AdmissionController {
-	return ops.NewController(cfg, m)
-}
-
-// SLO declares one latency objective over a histogram source;
-// SLOTracker samples the sources and computes multi-window (fast 5m /
-// slow 1h) burn rates, exported on the chainckpt_slo_* gauges and
-// summarized by Report.
-type SLO = ops.SLO
-type SLOTracker = ops.Tracker
-type SLOTrackerConfig = ops.TrackerConfig
-type SLOStatus = ops.SLOStatus
-
-// HistogramSnapshot is a point-in-time copy of a histogram's buckets —
-// what SLO sources return and window deltas subtract.
-type HistogramSnapshot = obs.HistogramSnapshot
-
-// NewSLOTracker builds a tracker over the given objectives, exporting
-// burn gauges on m (nil m keeps Report working without gauges).
-func NewSLOTracker(cfg SLOTrackerConfig, m *OpsMetrics, slos ...SLO) *SLOTracker {
-	return ops.NewTracker(cfg, m, slos...)
-}
-
-// MergeSnapshots sums same-layout histogram snapshots, the way an SLO
-// spanning several routes merges their latency histograms.
-func MergeSnapshots(snaps ...HistogramSnapshot) HistogramSnapshot {
-	return ops.MergeSnapshots(snaps...)
-}
-
-// Tuner is the metrics-driven self-tuner: each cycle retunes the
-// engine's scratch pools and retargets its DP worker team from the live
-// solve-size histogram, recording a TuningEvent. Engine satisfies
-// TunableEngine.
-type Tuner = ops.Tuner
-type TunerConfig = ops.TunerConfig
-type TuningEvent = ops.TuningEvent
-type TunableEngine = ops.TunableEngine
-type SizeCount = ops.SizeCount
-
-// NewTuner builds a self-tuner actuating eng, recording cycles on m.
-func NewTuner(cfg TunerConfig, eng TunableEngine, m *OpsMetrics) *Tuner {
-	return ops.NewTuner(cfg, eng, m)
-}
 
 // EstimatorState is the serializable evidence of a run's online error-
 // rate estimators: persist it (RunReport.Estimator), seed it back

@@ -27,19 +27,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"chainckpt/internal/core"
 	"chainckpt/internal/engine"
 	"chainckpt/internal/experiments"
 	"chainckpt/internal/obs"
-	"chainckpt/internal/ops"
 	"chainckpt/internal/platform"
 	"chainckpt/internal/report"
 	"chainckpt/internal/workload"
@@ -59,7 +56,7 @@ func main() {
 	solveWorkers := flag.Int("solve-workers", 1,
 		"DP worker team per solve (1 = serial, 0 = auto above the crossover, k>1 = pinned width)")
 	statsDump := flag.Bool("stats", false,
-		"print a one-shot metrics summary (per-shard solve latency quantiles, memo traffic, SLO/admission/tuner counters) at exit")
+		"print a one-shot metrics summary (solver team counters, per-shard solve latency quantiles, memo traffic) at exit")
 	flag.Parse()
 
 	// Every sweep plans through the shared batch engine; sizing it here
@@ -69,19 +66,8 @@ func main() {
 	// the engine into a metrics registry, so the run can be profiled
 	// without a serving stack around it.
 	var reg *obs.Registry
-	var opsM *ops.Metrics
-	var admission *ops.Controller
-	var tracker *ops.Tracker
-	var tuner *ops.Tuner
 	if *statsDump {
 		reg = obs.NewRegistry()
-		// The ops-plane families chainserve exports, so a sweep profile
-		// shows the same picture as the server: the controller gates
-		// each experiment (batch class), the tracker reads the engine's
-		// solve-latency histograms, and a final tuner cycle records the
-		// regime the sweep's solve sizes landed in.
-		opsM = ops.NewMetrics(reg)
-		admission = ops.NewController(ops.ControllerConfig{}, opsM)
 	}
 	if *workers > 0 || *solveWorkers != 1 || *statsDump {
 		// CLI semantics (1 serial, 0 auto) map onto engine.Options,
@@ -91,37 +77,10 @@ func main() {
 		if engineSolveWorkers == 0 {
 			engineSolveWorkers = -1
 		}
-		em := engine.NewMetrics(reg)
-		eng := engine.New(engine.Options{
+		engine.SetDefault(engine.New(engine.Options{
 			Workers: *workers, SolveWorkers: engineSolveWorkers,
-			Metrics: em,
-		})
-		engine.SetDefault(eng)
-		if *statsDump {
-			tracker = ops.NewTracker(ops.TrackerConfig{}, opsM, ops.SLO{
-				Name:      "solve_latency",
-				Threshold: 0.5,
-				Objective: 0.95,
-				Source: func() obs.HistogramSnapshot {
-					nShards := len(eng.Stats().Shards)
-					snaps := make([]obs.HistogramSnapshot, 0, nShards)
-					for i := 0; i < nShards; i++ {
-						snaps = append(snaps, em.SolveLatency.With(strconv.Itoa(i)).Snapshot())
-					}
-					return ops.MergeSnapshots(snaps...)
-				},
-			})
-			tuner = ops.NewTuner(ops.TunerConfig{
-				Sizes: func() []ops.SizeCount {
-					sizes := eng.Stats().Kernel.Sizes
-					out := make([]ops.SizeCount, len(sizes))
-					for i, sz := range sizes {
-						out[i] = ops.SizeCount{N: sz.N, Solves: sz.Solves}
-					}
-					return out
-				},
-			}, eng, opsM)
-		}
+			Metrics: engine.NewMetrics(reg),
+		}))
 	}
 
 	if *outDir != "" {
@@ -135,18 +94,10 @@ func main() {
 		if *exp != "all" && *exp != name {
 			return
 		}
-		// Experiments are batch work: each passes the admission gate so
-		// -stats profiles count them (a nil controller admits freely).
-		release, err := admission.Admit(context.Background(), ops.Batch)
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
 		fmt.Printf("==================== %s ====================\n", name)
 		if err := f(); err != nil {
-			release()
 			log.Fatalf("%s: %v", name, err)
 		}
-		release()
 		fmt.Println()
 	}
 
@@ -359,13 +310,10 @@ func main() {
 	}
 
 	if *statsDump {
-		tracker.Sample()
-		tuner.RunCycle("final")
-		admission.Close()
 		fmt.Println("==================== metrics ====================")
 		par := engine.Default().Stats().Kernel.Parallel
-		fmt.Printf("kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d crossover=%d\n",
-			par.Solves, par.Tiles, par.LocalTiles, par.Steals, par.AutoCrossover)
+		fmt.Printf("kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d\n",
+			par.Solves, par.Tiles, par.LocalTiles, par.Steals)
 		reg.DumpText(os.Stdout)
 	}
 }

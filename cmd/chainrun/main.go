@@ -34,11 +34,9 @@
 //	                 width; never changes the schedule, only the solve
 //	                 wall clock
 //	-stats           print a one-shot metrics summary to stderr at exit:
-//	                 solve latency plus task, verification,
-//	                 checkpoint-commit and fsync quantiles from the
-//	                 runtime's metrics registry, and the ops-plane
-//	                 families chainserve exports (chainckpt_slo_*,
-//	                 chainckpt_admission_*, chainckpt_tuner_*)
+//	                 solver team counters, solve latency, and task,
+//	                 verification, checkpoint-commit and fsync
+//	                 quantiles from the runtime's metrics registry
 //
 // Example:
 //
@@ -206,51 +204,20 @@ func run(cfg *config, w *os.File) error {
 	var reg *chainckpt.MetricsRegistry
 	var planH *chainckpt.MetricsHistogram
 	var rm *chainckpt.RuntimeMetrics
-	var admission *chainckpt.AdmissionController
 	if cfg.stats {
 		reg = chainckpt.NewMetricsRegistry()
 		rm = chainckpt.NewRuntimeMetrics(reg)
 		planH = reg.NewHistogram("chainrun_plan_seconds",
 			"Wall-clock time of the initial schedule solve.", nil)
-		// The ops-plane families chainserve exports — SLO burn rates,
-		// admission outcomes, tuning events — so a one-shot run shows
-		// the same picture as the server. The controller gates each
-		// replication, the tracker reads the solve histogram, and a
-		// final tuner cycle records the engine's regime at exit.
-		opsM := chainckpt.NewOpsMetrics(reg)
-		admission = chainckpt.NewAdmissionController(chainckpt.AdmissionConfig{}, opsM)
-		tracker := chainckpt.NewSLOTracker(chainckpt.SLOTrackerConfig{}, opsM, chainckpt.SLO{
-			Name:      "plan_latency",
-			Threshold: 1.0,
-			Objective: 0.99,
-			Source:    planH.Snapshot,
-		})
-		tuner := chainckpt.NewTuner(chainckpt.TunerConfig{
-			Sizes: func() []chainckpt.SizeCount {
-				sizes := chainckpt.DefaultEngine().Stats().Kernel.Sizes
-				out := make([]chainckpt.SizeCount, len(sizes))
-				for i, sz := range sizes {
-					out[i] = chainckpt.SizeCount{N: sz.N, Solves: sz.Solves}
-				}
-				return out
-			},
-		}, chainckpt.DefaultEngine(), opsM)
 		defer func() {
-			tracker.Sample()
-			tuner.RunCycle("final")
-			admission.Close()
 			fmt.Fprintln(os.Stderr, "-- metrics (chainrun -stats) --")
 			// The initial -solve-workers solve runs on the shared default
 			// kernel (PlanWithOptions); engine traffic has its own. Sum
 			// both so the counters reflect every team dispatch.
 			kp := chainckpt.DefaultKernel().Stats().Parallel
 			ep := chainckpt.DefaultEngine().Stats().Kernel.Parallel
-			cross := kp.AutoCrossover
-			if ep.AutoCrossover > cross {
-				cross = ep.AutoCrossover
-			}
-			fmt.Fprintf(os.Stderr, "kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d crossover=%d\n",
-				kp.Solves+ep.Solves, kp.Tiles+ep.Tiles, kp.LocalTiles+ep.LocalTiles, kp.Steals+ep.Steals, cross)
+			fmt.Fprintf(os.Stderr, "kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d\n",
+				kp.Solves+ep.Solves, kp.Tiles+ep.Tiles, kp.LocalTiles+ep.LocalTiles, kp.Steals+ep.Steals)
 			reg.DumpText(os.Stderr)
 		}()
 	}
@@ -264,17 +231,6 @@ func run(cfg *config, w *os.File) error {
 	sup := chainckpt.NewSupervisor(chainckpt.SupervisorOptions{Metrics: rm})
 
 	execute := func(seed uint64, record bool) (*chainckpt.RunReport, error) {
-		// A single run is interactive (someone is watching); replication
-		// sweeps are batch. A nil controller (no -stats) admits freely.
-		class := chainckpt.AdmissionInteractive
-		if cfg.reps > 1 {
-			class = chainckpt.AdmissionBatch
-		}
-		release, err := admission.Admit(ctx, class)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
 		job := chainckpt.RunJob{
 			Chain: cfg.chain, Platform: cfg.plat, Schedule: res.Schedule,
 			Algorithm: cfg.alg, Runner: cfg.newRunner(seed), Record: record,

@@ -706,10 +706,12 @@ func (s *server) launch(j *job, runJob runtime.Job, adaptive bool) {
 			if ferr == nil {
 				data, ferr = recording.Canonical()
 			}
-			j.sealRecording(data, ferr)
+			// Mirror before sealing: the trace endpoint answers once the
+			// recording is sealed, and the file must exist by then.
 			if ferr == nil {
 				s.writeRecording(j.snapshot().ID, data)
 			}
+			j.sealRecording(data, ferr)
 		}
 		// finish classifies a cancel as "cancelled", which is not a
 		// failure: only genuine failures feed the error-rate metric.

@@ -52,10 +52,6 @@
 //	-burn-shed f      fast-window burn rate beyond which batch-class work
 //	                  (jobs) is shed first (default 10; 0 disables)
 //	-slo-sample d     SLO sampling / shed-coupling cadence (default 10s)
-//	-selftune-interval d  periodic self-tune cadence: every d the tuner
-//	                  calls Engine.Tune and retargets solve parallelism
-//	                  from the live size histogram (default 0 = off;
-//	                  POST /v1/admin/tune always forces a cycle)
 //
 // Endpoints:
 //
@@ -88,10 +84,6 @@
 //	GET  /debug/traces/{id}  one trace (request or job), as a span tree
 //	GET  /v1/admin/slo       SLO tracker view: burn rates, bad fractions,
 //	                         window quantiles, shedding state
-//	GET  /v1/admin/tune      self-tuner decision history and the current
-//	                         solve-worker target
-//	POST /v1/admin/tune      force one self-tune cycle now; returns the
-//	                         recorded tuning event
 //
 // A request names a Table I platform or embeds a custom one, and gives
 // the chain either as explicit weights or as a (pattern, n, total)
@@ -156,12 +148,6 @@ func main() {
 		"admission slots for the write routes (plan/replan/jobs)")
 	admitQueue := flag.Int("admit-queue", opsDefaults.AdmitQueue,
 		"admission queue bound per priority class; beyond it requests shed with 429")
-	admitMin := flag.Int("admit-min", 0,
-		"lower bound of the adaptive admission band (used with -admit-max)")
-	admitMax := flag.Int("admit-max", 0,
-		"upper bound of the adaptive admission band; >0 lets tuner cycles move the admission slot count between -admit-min and -admit-max from the shard queue-wait histograms (0 keeps -admit-concurrent fixed)")
-	solveCrossover := flag.Int("solve-crossover", 0,
-		"auto-mode parallel-solve crossover window length (0 = built-in default; also the tuner's large-solve boundary)")
 	sloLatency := flag.Float64("slo-latency", opsDefaults.SLOThreshold,
 		"interactive latency SLO threshold in seconds")
 	sloObjective := flag.Float64("slo-objective", opsDefaults.SLOObjective,
@@ -170,8 +156,6 @@ func main() {
 		"fast-window burn rate beyond which batch work is shed (0 disables)")
 	sloSample := flag.Duration("slo-sample", opsDefaults.SampleInterval,
 		"SLO sampling and shed-coupling cadence")
-	selftuneInterval := flag.Duration("selftune-interval", 0,
-		"periodic self-tune cadence (0 disables; POST /v1/admin/tune still forces cycles)")
 	flag.Parse()
 
 	memo := *cacheSize
@@ -198,14 +182,10 @@ func main() {
 	opsCfg := opsDefaults
 	opsCfg.AdmitConcurrent = *admitConcurrent
 	opsCfg.AdmitQueue = *admitQueue
-	opsCfg.AdmitMin = *admitMin
-	opsCfg.AdmitMax = *admitMax
-	opsCfg.SolveCrossover = *solveCrossover
 	opsCfg.SLOThreshold = *sloLatency
 	opsCfg.SLOObjective = *sloObjective
 	opsCfg.BurnShed = *burnShed
 	opsCfg.SampleInterval = *sloSample
-	opsCfg.SelfTune = *selftuneInterval
 	srv := newServerWithOps(engine.New(engine.Options{
 		Workers: *workers, CacheSize: memo, Shards: *shards,
 		SolveWorkers: engineSolveWorkers, Metrics: plane.engine,
@@ -310,14 +290,12 @@ type server struct {
 	routeLat     *obs.HistogramVec
 	reqSeq       atomic.Uint64
 
-	// The ops plane (ops.go): admission gate ahead of the shard pools,
-	// SLO burn-rate tracker over the route histograms, and the
-	// metrics-driven self-tuner.
+	// The ops plane (ops.go): admission gate ahead of the shard pools
+	// and SLO burn-rate tracker over the route histograms.
 	opsCfg     opsConfig
 	opsMetrics *ops.Metrics
 	admission  *ops.Controller
 	tracker    *ops.Tracker
-	tuner      *ops.Tuner
 	opsStop    chan struct{}
 }
 
@@ -345,8 +323,8 @@ func newServerWithObs(eng *engine.Engine, store jobstore.Store, storeDir string,
 }
 
 // newServerWithOps is newServerWithObs with an explicit ops-plane
-// configuration (admission bounds, SLO objective, shedding coupling,
-// self-tune cadence) — what main builds from flags.
+// configuration (admission bounds, SLO objective, shedding coupling)
+// — what main builds from flags.
 func newServerWithOps(eng *engine.Engine, store jobstore.Store, storeDir string, plane *obsPlane, cfg opsConfig) *server {
 	s := &server{
 		eng:     eng,
@@ -378,8 +356,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.handleTraceList))
 	mux.HandleFunc("GET /debug/traces/{id}", s.instrument("trace_dump", s.handleTraceDump))
 	mux.HandleFunc("GET /v1/admin/slo", s.instrument("admin_slo", s.handleSLO))
-	mux.HandleFunc("GET /v1/admin/tune", s.instrument("admin_tune", s.handleTuneGet))
-	mux.HandleFunc("POST /v1/admin/tune", s.instrument("admin_tune_force", s.handleTuneForce))
 	return mux
 }
 

@@ -270,9 +270,6 @@ func (s *server) initObs() {
 	gaugeFn("chainckpt_kernel_parallel_workers",
 		"Live solver team helpers (idle helpers retire after a minute).",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.eng.Kernel.Parallel.Workers) })
-	gaugeFn("chainckpt_kernel_auto_crossover",
-		"Live auto-mode engagement threshold (window length); the built-in default unless retargeted.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.eng.Kernel.Parallel.AutoCrossover) })
 
 	// Jobs and the supervisor.
 	counterFn("chainserve_jobs_total",

@@ -3,15 +3,14 @@
 // pools (bounded queues, two priority classes, per-request deadlines
 // honoring X-Deadline-Ms), the SLO tracker computes multi-window burn
 // rates from the same route histograms /metrics exports, burn-coupled
-// load-shedding drops batch work first when the fast window burns hot,
-// and the self-tuner periodically retargets the engine from the live
-// solve-size histogram. Admin views: GET /v1/admin/slo, GET+POST
-// /v1/admin/tune.
+// load-shedding drops batch work first when the fast window burns hot.
+// Admin view: GET /v1/admin/slo.
 package main
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -28,12 +27,6 @@ type opsConfig struct {
 	// AdmitConcurrent / AdmitQueue bound the admission controller.
 	AdmitConcurrent int
 	AdmitQueue      int
-	// AdmitMin / AdmitMax, when AdmitMax > 0, enable the tuner's
-	// adaptive-concurrency loop: each cycle nudges the live admission
-	// bound within [AdmitMin, AdmitMax] from the shard-pool queue-wait
-	// histogram (exported as chainckpt_admission_concurrent_limit).
-	AdmitMin int
-	AdmitMax int
 	// RetryAfter is the backoff hint on 429 responses.
 	RetryAfter time.Duration
 	// SLOThreshold (seconds) and SLOObjective parameterize the
@@ -45,21 +38,6 @@ type opsConfig struct {
 	BurnShed float64
 	// SampleInterval is the SLO sampling/coupling cadence.
 	SampleInterval time.Duration
-	// SelfTune is the periodic self-tune cadence (0 disables the loop;
-	// POST /v1/admin/tune still forces cycles).
-	SelfTune time.Duration
-	// TuneLargeN overrides the tuner's large-solve boundary (0 keeps
-	// the solver's crossover default of 192). Tests lower it so the
-	// regime switch is reachable with affordable window lengths.
-	TuneLargeN int
-	// TuneMinSamples overrides the solves a cycle must observe before
-	// its regime decision is trusted (0 keeps the tuner default).
-	TuneMinSamples uint64
-	// SolveCrossover retargets the solver's auto-engage window length
-	// on every shard kernel (0 keeps the built-in default); it also
-	// becomes the tuner's large-solve boundary unless TuneLargeN pins
-	// one explicitly.
-	SolveCrossover int
 }
 
 func defaultOpsConfig() opsConfig {
@@ -78,9 +56,9 @@ func defaultOpsConfig() opsConfig {
 // synchronous planning paths a caller is actively waiting on.
 var interactiveRoutes = []string{"plan", "plan_batch", "replan"}
 
-// initOps builds the admission controller, SLO tracker and self-tuner
-// over the server's registry and engine. Called after initObs (the
-// route histograms must exist). Background cadences start in startOps.
+// initOps builds the admission controller and SLO tracker over the
+// server's registry. Called after initObs (the route histograms must
+// exist). The sampler cadence starts in startOps.
 func (s *server) initOps(cfg opsConfig) {
 	s.opsCfg = cfg
 	reg := s.obs.reg
@@ -109,34 +87,6 @@ func (s *server) initOps(cfg opsConfig) {
 		Source:    src,
 	})
 
-	// The adaptive-concurrency loop reads the same per-shard queue-wait
-	// histograms /metrics exports, merged into one saturation signal.
-	nshards := len(s.eng.Stats().Shards)
-	queueWait := func() obs.HistogramSnapshot {
-		snaps := make([]obs.HistogramSnapshot, 0, nshards)
-		for i := 0; i < nshards; i++ {
-			snaps = append(snaps, s.obs.engine.QueueWait.With(strconv.Itoa(i)).Snapshot())
-		}
-		return ops.MergeSnapshots(snaps...)
-	}
-	s.tuner = ops.NewTuner(ops.TunerConfig{
-		LargeN:     cfg.TuneLargeN,
-		MinSamples: cfg.TuneMinSamples,
-		Crossover:  cfg.SolveCrossover,
-		Admission:  s.admission,
-		QueueWait:  queueWait,
-		AdmitMin:   cfg.AdmitMin,
-		AdmitMax:   cfg.AdmitMax,
-		Sizes: func() []ops.SizeCount {
-			sizes := s.eng.Stats().Kernel.Sizes
-			out := make([]ops.SizeCount, len(sizes))
-			for i, sz := range sizes {
-				out[i] = ops.SizeCount{N: sz.N, Solves: sz.Solves}
-			}
-			return out
-		},
-	}, s.eng, s.opsMetrics)
-
 	// Scrape-fresh burn gauges: /metrics triggers the same tick the
 	// sampler cadence runs, so a scrape never shows stale burn rates.
 	// Closely spaced samples coalesce in the tracker ring.
@@ -153,9 +103,8 @@ func (s *server) opsTick() {
 	}
 }
 
-// startOps launches the background cadences: the SLO sampler (always)
-// and the periodic self-tuner (when -selftune-interval > 0). stopOps
-// ends them; both are idempotent enough for tests to call freely.
+// startOps launches the SLO sampler cadence. stopOps ends it; both are
+// idempotent enough for tests to call freely.
 func (s *server) startOps() {
 	if s.opsStop != nil {
 		return
@@ -174,20 +123,6 @@ func (s *server) startOps() {
 			}
 		}
 	}()
-	if s.opsCfg.SelfTune > 0 {
-		go func() {
-			t := time.NewTicker(s.opsCfg.SelfTune)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					s.tuner.RunCycle("periodic")
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
 }
 
 func (s *server) stopOps() {
@@ -198,15 +133,28 @@ func (s *server) stopOps() {
 	s.admission.Close()
 }
 
+// maxDeadlineMs is the largest X-Deadline-Ms whose budget fits in a
+// time.Duration (~292 years).
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 // admit gates one route through the admission controller in the given
 // class. The X-Deadline-Ms header becomes a context deadline covering
 // both the queue wait and the handler itself, so a request that waited
-// out its budget is failed instead of run for a client that left.
+// out its budget is failed instead of run for a client that left. A
+// header that is not an integer, or whose budget does not fit in a
+// time.Duration, is rejected with 400; a non-positive one sets no
+// deadline.
 func (s *server) admit(class ops.Class, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		if ms := r.Header.Get("X-Deadline-Ms"); ms != "" {
-			if d, err := strconv.Atoi(ms); err == nil && d > 0 {
+			d, err := strconv.ParseInt(ms, 10, 64)
+			if err != nil || d > maxDeadlineMs {
+				writeError(w, http.StatusBadRequest,
+					fmt.Errorf("X-Deadline-Ms %q: want an integer millisecond count up to %d", ms, maxDeadlineMs))
+				return
+			}
+			if d > 0 {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, time.Duration(d)*time.Millisecond)
 				defer cancel()
@@ -249,22 +197,4 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		"slos":     s.tracker.Report(),
 		"shedding": s.admission.Shedding(),
 	})
-}
-
-// handleTuneGet serves the tuner's decision history and the engine's
-// current solve-worker target.
-func (s *server) handleTuneGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"solve_workers":  s.eng.SolveWorkers(),
-		"bucket_workers": s.eng.BucketSolveWorkers(),
-		"auto_crossover": s.eng.AutoCrossover(),
-		"admit_limit":    s.admission.MaxConcurrent(),
-		"events":         s.tuner.History(),
-	})
-}
-
-// handleTuneForce runs one self-tune cycle immediately and returns its
-// event — the operator's "retune now" button.
-func (s *server) handleTuneForce(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.tuner.RunCycle("forced"))
 }

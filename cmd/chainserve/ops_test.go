@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,7 +190,9 @@ func TestBurnCoupledShedding(t *testing.T) {
 
 // TestDeadlineHeaderHonored: a request whose X-Deadline-Ms budget is
 // consumed waiting in the admission queue fails 503, never runs, and
-// lands in the deadline counter.
+// lands in the deadline counter. A header that is not an integer or
+// whose budget overflows a time.Duration (1e13 ms would wrap negative
+// and expire at once) is a 400 naming the header, before admission.
 func TestDeadlineHeaderHonored(t *testing.T) {
 	cfg := defaultOpsConfig()
 	cfg.AdmitConcurrent = 1
@@ -202,90 +203,32 @@ func TestDeadlineHeaderHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/plan", strings.NewReader(planBody))
-	req.Header.Set("X-Deadline-Ms", "30")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
-	rel()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("deadline-starved request: status %d (body %s), want 503", resp.StatusCode, body)
+	defer rel()
+	for _, tc := range []struct {
+		header string
+		status int
+	}{
+		{"30", http.StatusServiceUnavailable},
+		{"10000000000000", http.StatusBadRequest},
+		{"99999999999999999999", http.StatusBadRequest},
+		{"soon", http.StatusBadRequest},
+	} {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/plan", strings.NewReader(planBody))
+		req.Header.Set("X-Deadline-Ms", tc.header)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("X-Deadline-Ms %s: status %d (body %s), want %d", tc.header, resp.StatusCode, body, tc.status)
+		}
+		if tc.status == http.StatusBadRequest && !strings.Contains(body, "X-Deadline-Ms") {
+			t.Fatalf("X-Deadline-Ms %s: error %s does not name the header", tc.header, body)
+		}
 	}
 	if got := srv.opsMetrics.Deadline.With("interactive").Value(); got != 1 {
 		t.Fatalf("chainckpt_admission_deadline_total{interactive} = %d, want 1", got)
-	}
-}
-
-// TestForcedTuneCycleChangesConfigKeepsPlanBytes is the second
-// acceptance leg: a forced self-tune cycle against a large-solve
-// workload demonstrably retargets the engine's solve parallelism and
-// records a tuning event — and the plan bytes for the same request are
-// identical before and after.
-func TestForcedTuneCycleChangesConfigKeepsPlanBytes(t *testing.T) {
-	cfg := defaultOpsConfig()
-	// A lowered large-solve boundary keeps the regime switch reachable
-	// with affordable window lengths (a real n>=192 solve runs minutes);
-	// cache disabled so the post-tune request genuinely re-solves under
-	// the new worker configuration.
-	cfg.TuneLargeN = 32
-	cfg.TuneMinSamples = 3
-	srv, ts := newOpsTestServer(t, engine.Options{Workers: 2, CacheSize: -1}, cfg)
-
-	// A large-regime workload: distinct solves at n=48 >= the test
-	// boundary of 32 clear the tuner's MinSamples with LargeShare 1.0.
-	large := func(total int) string {
-		return fmt.Sprintf(`{"algorithm":"ADMV","platform":"Hera","pattern":"uniform","n":48,"total":%d}`, total)
-	}
-	for i := 0; i < 4; i++ {
-		resp, _ := postJSON(t, ts.URL+"/v1/plan", large(20000+i))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("warm-up plan status %d", resp.StatusCode)
-		}
-	}
-	_, before := postJSON(t, ts.URL+"/v1/plan", large(20000))
-	if srv.eng.SolveWorkers() != 1 {
-		t.Fatalf("pre-tune solve workers = %d, want 1 (serial default)", srv.eng.SolveWorkers())
-	}
-
-	// Force a cycle through the admin endpoint.
-	resp, evBody := postJSON(t, ts.URL+"/v1/admin/tune", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/admin/tune: status %d", resp.StatusCode)
-	}
-	var ev ops.TuningEvent
-	if err := json.Unmarshal(evBody, &ev); err != nil {
-		t.Fatalf("tune event decode: %v (%s)", err, evBody)
-	}
-	if ev.Action != "retune" || ev.NewSolveWorkers != -1 {
-		t.Fatalf("forced cycle event = %+v, want retune to auto (-1)", ev)
-	}
-	if ev.Trigger != "forced" {
-		t.Fatalf("trigger = %q, want forced", ev.Trigger)
-	}
-	if srv.eng.SolveWorkers() != -1 {
-		t.Fatalf("post-tune solve workers = %d, want -1", srv.eng.SolveWorkers())
-	}
-
-	// The decision is in the history and the counters.
-	var hist struct {
-		SolveWorkers int               `json:"solve_workers"`
-		Events       []ops.TuningEvent `json:"events"`
-	}
-	getJSON(t, ts.URL+"/v1/admin/tune", &hist)
-	if hist.SolveWorkers != -1 || len(hist.Events) == 0 {
-		t.Fatalf("tune history = %+v", hist)
-	}
-	if got := srv.opsMetrics.TunerCycles.With("forced").Value(); got != 1 {
-		t.Fatalf("chainckpt_tuner_cycles_total{forced} = %d, want 1", got)
-	}
-
-	// Determinism bar: the same request re-solved under the retuned
-	// configuration yields byte-identical plan JSON.
-	_, after := postJSON(t, ts.URL+"/v1/plan", large(20000))
-	if string(before) != string(after) {
-		t.Fatalf("plan bytes changed across self-tune:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
 
@@ -308,7 +251,6 @@ func TestAdmissionMetricsInScrape(t *testing.T) {
 		`chainckpt_slo_burn_rate{slo="interactive_latency",window="fast"}`,
 		`chainckpt_slo_objective{slo="interactive_latency"} 0.99`,
 		"chainckpt_slo_shedding 0",
-		"chainckpt_tuner_solve_workers",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

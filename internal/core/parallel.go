@@ -42,9 +42,7 @@ const (
 	// ~1 ms and the dispatch + handoff overhead (~10 µs plus a cold
 	// helper wake-up) can eat the gain; above it every phase has
 	// thousands of table rows per tile and the team wins on any
-	// multi-core machine (see BenchmarkKernelParallelSolve). The live
-	// threshold is an atomic the tuner may retarget from the measured
-	// size histogram (Kernel.SetAutoCrossover).
+	// multi-core machine (see BenchmarkKernelParallelSolve).
 	defaultAutoCrossover = 192
 	// maxAutoWorkers caps the auto team: memory-level tiles each draw a
 	// (n+1)^2 memScratch arena, so very wide teams trade cache locality
@@ -71,11 +69,6 @@ type solveTeam struct {
 	mu      sync.Mutex
 	jobs    chan *stealJob
 	workers int // live helper goroutines
-
-	// crossover overrides defaultAutoCrossover when positive; the ops
-	// tuner retargets it from the live size histogram so "big enough to
-	// parallelize" tracks the observed workload instead of a constant.
-	crossover atomic.Int64
 
 	// Counters behind KernelStats.Parallel (core stays free of any obs
 	// dependency: the observability plane projects these from outside).
@@ -223,15 +216,6 @@ func (j *stealJob) drain(t *solveTeam) {
 	t.steals.Add(stolen)
 }
 
-// autoCrossover is the live auto-engage threshold: the tuner's override
-// when set, defaultAutoCrossover otherwise.
-func (t *solveTeam) autoCrossover() int {
-	if c := t.crossover.Load(); c > 0 {
-		return int(c)
-	}
-	return defaultAutoCrossover
-}
-
 // resolveSolveWorkers maps an Options.SolveWorkers request to the
 // worker count one solve of an n-task window will use. Zero is the
 // GOMAXPROCS-aware auto mode: it only engages above the crossover
@@ -250,7 +234,7 @@ func (t *solveTeam) resolveSolveWorkers(requested, n int) (int, error) {
 	}
 	// Auto: engage only when the window is big enough to amortize the
 	// team and the machine has more than one core to offer.
-	if w := min(runtime.GOMAXPROCS(0), maxAutoWorkers); w > 1 && n >= t.autoCrossover() {
+	if w := min(runtime.GOMAXPROCS(0), maxAutoWorkers); w > 1 && n >= defaultAutoCrossover {
 		t.noteWidth(w)
 		return w, nil
 	}

@@ -235,14 +235,6 @@ type Engine struct {
 	mask   uint64
 	shared *core.Kernel // non-nil when Options.Kernel was injected
 
-	// bucketWidths overrides the global per-solve width for individual
-	// size buckets (core.BucketCap classes). Copy-on-write map shared by
-	// every shard: readers Load once per solve, writers clone under mu.
-	// Values use the stamped core convention (0 auto, 1 serial, >1
-	// pinned); a bucket with no entry falls through to the shard's
-	// global solveWorkers.
-	bucketWidths atomic.Pointer[map[int]int64]
-
 	mu     sync.Mutex
 	closed bool
 
@@ -288,9 +280,7 @@ func New(opts Options) *Engine {
 		if workers < 1 {
 			workers = 1
 		}
-		sh := newShard(i, kern, perCache, workers, solveWorkers, opts.Metrics)
-		sh.bucketWidths = &e.bucketWidths
-		e.shards = append(e.shards, sh)
+		e.shards = append(e.shards, newShard(i, kern, perCache, workers, solveWorkers, opts.Metrics))
 	}
 	return e
 }
@@ -524,111 +514,6 @@ func (e *Engine) Tune() {
 	}
 }
 
-// SolveWorkers reports the per-solve parallelism currently stamped on
-// requests that leave Opts.SolveWorkers unset, in the engine-level
-// convention: 1 serial, 0/negative auto, >1 pinned team width.
-func (e *Engine) SolveWorkers() int {
-	if len(e.shards) == 0 {
-		return 1
-	}
-	n := int(e.shards[0].solveWorkers.Load())
-	if n == 0 {
-		return -1 // core auto mode, reported in Options convention
-	}
-	return n
-}
-
-// SetSolveWorkers retargets the per-solve parallelism on a live
-// engine, using the same convention as Options.SolveWorkers: 0 (or 1)
-// pins the serial path, negative selects the solver's crossover-gated
-// auto mode, larger values pin a team of that width. This only changes
-// how fast a solve runs — the DP recurrence and the resulting plan
-// bytes are identical for every setting — so the ops-plane self-tuner
-// may call it at any time without a determinism risk. Requests that
-// set their own Opts.SolveWorkers are unaffected.
-func (e *Engine) SetSolveWorkers(n int) {
-	stamped := int64(1)
-	if n > 0 {
-		stamped = int64(n)
-	} else if n < 0 {
-		stamped = 0 // core's zero value = auto
-	}
-	for _, s := range e.shards {
-		s.solveWorkers.Store(stamped)
-	}
-}
-
-// SetBucketSolveWorkers pins the per-solve parallelism for the size
-// bucket containing window length n (core.BucketCap classes), using the
-// engine convention: 1 pins serial, negative selects auto, larger
-// values pin a team of that width, and 0 clears the override so the
-// bucket falls back to the global SetSolveWorkers width. The ops-plane
-// tuner uses this to give each workload regime its own width; like the
-// global knob it is pure scheduling and never changes plan bytes.
-func (e *Engine) SetBucketSolveWorkers(n, workers int) {
-	cap := core.BucketCap(n)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	next := make(map[int]int64)
-	if old := e.bucketWidths.Load(); old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	if workers == 0 {
-		delete(next, cap)
-	} else {
-		stamped := int64(1)
-		if workers > 1 {
-			stamped = int64(workers)
-		} else if workers < 0 {
-			stamped = 0 // core's zero value = auto
-		}
-		next[cap] = stamped
-	}
-	if len(next) == 0 {
-		e.bucketWidths.Store(nil)
-		return
-	}
-	e.bucketWidths.Store(&next)
-}
-
-// BucketSolveWorkers reports the live per-bucket width overrides as a
-// bucket-capacity → width map in the engine convention (1 serial, -1
-// auto, >1 pinned). Empty when no bucket has an override.
-func (e *Engine) BucketSolveWorkers() map[int]int {
-	out := make(map[int]int)
-	if m := e.bucketWidths.Load(); m != nil {
-		for cap, w := range *m {
-			switch {
-			case w == 0:
-				out[cap] = -1
-			default:
-				out[cap] = int(w)
-			}
-		}
-	}
-	return out
-}
-
-// SetAutoCrossover retargets the window length where auto-mode solves
-// engage the kernel worker team, on every shard kernel (n <= 0 restores
-// the built-in default). See core.Kernel.SetAutoCrossover.
-func (e *Engine) SetAutoCrossover(n int) {
-	if e.shared != nil {
-		e.shared.SetAutoCrossover(n)
-		return
-	}
-	for _, s := range e.shards {
-		s.kernel.SetAutoCrossover(n)
-	}
-}
-
-// AutoCrossover reports the live auto-mode engagement threshold.
-func (e *Engine) AutoCrossover() int {
-	return e.Kernel().AutoCrossover()
-}
-
 // Stats returns a snapshot of the engine's counters: the cross-shard
 // aggregates plus the per-shard breakdown.
 func (e *Engine) Stats() Stats {
@@ -688,9 +573,6 @@ func mergeKernelStats(sts []core.KernelStats) core.KernelStats {
 		out.Parallel.BusySeconds += st.Parallel.BusySeconds
 		out.Parallel.CrossoverSkips += st.Parallel.CrossoverSkips
 		out.Parallel.Workers += st.Parallel.Workers
-		if st.Parallel.AutoCrossover > out.Parallel.AutoCrossover {
-			out.Parallel.AutoCrossover = st.Parallel.AutoCrossover
-		}
 		for _, b := range st.Buckets {
 			m := buckets[b.Cap]
 			m.Cap = b.Cap

@@ -98,50 +98,7 @@ func NewController(cfg ControllerConfig, m *Metrics) *Controller {
 	}
 	c := &Controller{cfg: cfg, m: m, mu: make(chan struct{}, 1)}
 	c.mu <- struct{}{}
-	c.setLimitGauge(cfg.MaxConcurrent)
 	return c
-}
-
-// MaxConcurrent reports the current execution-slot bound.
-func (c *Controller) MaxConcurrent() int {
-	if c == nil {
-		return 0
-	}
-	c.lock()
-	defer c.unlock()
-	return c.cfg.MaxConcurrent
-}
-
-// SetMaxConcurrent retargets the execution-slot bound on a live
-// controller (clamped to at least 1) — the actuator behind the tuner's
-// adaptive-concurrency loop. Raising the bound grants freed capacity to
-// queued waiters immediately; lowering it never interrupts in-flight
-// work, the excess simply drains as slots are released and no new
-// grants happen above the new bound.
-func (c *Controller) SetMaxConcurrent(n int) {
-	if c == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	c.lock()
-	changed := n != c.cfg.MaxConcurrent
-	c.cfg.MaxConcurrent = n
-	if changed {
-		c.grantLocked()
-		c.gauges()
-	}
-	c.unlock()
-	if changed {
-		c.setLimitGauge(n)
-	}
-}
-
-func (c *Controller) setLimitGauge(n int) {
-	if c.m != nil && c.m.ConcurrentLimit != nil {
-		c.m.ConcurrentLimit.Set(float64(n))
-	}
 }
 
 func (c *Controller) lock()   { <-c.mu }

@@ -1,6 +1,6 @@
 // Package ops is the actuation half of the observability plane: it
 // consumes the signals internal/obs collects and drives the knobs the
-// rest of the stack already exposes. Three coupled pieces close the
+// rest of the stack already exposes. Two coupled pieces close the
 // loop:
 //
 //   - Tracker (slo.go) keeps per-route latency objectives and computes
@@ -8,18 +8,13 @@
 //     snapshots, in the Google-SRE sense: burn = badFraction/(1-objective),
 //     where 1.0 means the error budget is being consumed exactly at the
 //     rate that exhausts it at the window's end.
-//   - Tuner (tuner.go) periodically reads the kernel's live size
-//     histogram, calls Engine.Tune for scratch-pool retuning and
-//     retargets per-solve parallelism for the observed size regime,
-//     recording every decision as a structured TuningEvent.
 //   - Controller (admission.go) is a bounded admission gate ahead of
 //     the shard pools: two priority classes, per-request deadlines, and
 //     burn-rate-coupled load-shedding that drops batch work first.
 //
 // Determinism bar: nothing in this package may change plan bytes.
-// Tuning only swaps scratch pools and solve-team widths (the DP
-// recurrence is identical at every width) and admission only decides
-// when/whether work runs — both proven by the cross-validation suite.
+// Admission only decides when/whether work runs — proven by the
+// cross-validation suite.
 package ops
 
 import (
@@ -57,20 +52,13 @@ type Metrics struct {
 	Shedding  *obs.Gauge    // chainckpt_slo_shedding
 
 	// Admission families.
-	Admitted        *obs.CounterVec   // chainckpt_admission_admitted_total{class}
-	Shed            *obs.CounterVec   // chainckpt_admission_shed_total{class,reason}
-	Deadline        *obs.CounterVec   // chainckpt_admission_deadline_total{class}
-	Canceled        *obs.CounterVec   // chainckpt_admission_canceled_total{class}
-	QueueWait       *obs.HistogramVec // chainckpt_admission_queue_wait_seconds{class}
-	QueueDepth      *obs.GaugeVec     // chainckpt_admission_queue_depth{class}
-	InFlight        *obs.Gauge        // chainckpt_admission_in_flight
-	ConcurrentLimit *obs.Gauge        // chainckpt_admission_concurrent_limit
-
-	// Tuner families.
-	TunerCycles        *obs.CounterVec // chainckpt_tuner_cycles_total{trigger}
-	TunerActions       *obs.CounterVec // chainckpt_tuner_events_total{action}
-	TunerWorkers       *obs.Gauge      // chainckpt_tuner_solve_workers
-	TunerBucketWorkers *obs.GaugeVec   // chainckpt_tuner_bucket_workers{bucket}
+	Admitted   *obs.CounterVec   // chainckpt_admission_admitted_total{class}
+	Shed       *obs.CounterVec   // chainckpt_admission_shed_total{class,reason}
+	Deadline   *obs.CounterVec   // chainckpt_admission_deadline_total{class}
+	Canceled   *obs.CounterVec   // chainckpt_admission_canceled_total{class}
+	QueueWait  *obs.HistogramVec // chainckpt_admission_queue_wait_seconds{class}
+	QueueDepth *obs.GaugeVec     // chainckpt_admission_queue_depth{class}
+	InFlight   *obs.Gauge        // chainckpt_admission_in_flight
 }
 
 // NewMetrics registers the ops-plane families on reg and returns the
@@ -115,20 +103,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"class"),
 		InFlight: reg.NewGauge("chainckpt_admission_in_flight",
 			"Requests currently holding an admission slot."),
-		ConcurrentLimit: reg.NewGauge("chainckpt_admission_concurrent_limit",
-			"Current execution-slot bound; moves inside the configured [min,max] band when the tuner's adaptive-concurrency loop is on."),
-
-		TunerCycles: reg.NewCounterVec("chainckpt_tuner_cycles_total",
-			"Self-tune cycles run, by trigger (periodic, forced).",
-			"trigger"),
-		TunerActions: reg.NewCounterVec("chainckpt_tuner_events_total",
-			"Self-tune decisions, by action (retune, keep).",
-			"action"),
-		TunerWorkers: reg.NewGauge("chainckpt_tuner_solve_workers",
-			"Per-solve parallelism currently targeted by the tuner (engine convention: 1 serial, -1 auto, >1 pinned)."),
-		TunerBucketWorkers: reg.NewGaugeVec("chainckpt_tuner_bucket_workers",
-			"Per-size-bucket solve parallelism targeted by the tuner, labeled by bucket capacity (engine convention: 1 serial, -1 auto, >1 pinned).",
-			"bucket"),
 	}
 }
 

@@ -325,9 +325,10 @@ func encodeCheckpoint(ck *checkpoint) []byte {
 
 // writeCheckpointFile persists a checkpoint in its canonical encoding
 // and returns how long the fsync alone took. The write goes through a
-// temporary file, fsync, and rename so a crash mid-save can never
-// leave a half-written file under a checkpoint name — and a crash
-// right after the rename cannot lose the bytes to a dirty page cache.
+// temporary file, fsync, and rename so a process crash mid-save can
+// never leave a half-written file under a checkpoint name. The rename
+// survives a process crash only: no fsync of the directory follows it,
+// so a power loss can still drop the new name.
 func writeCheckpointFile(path string, ck *checkpoint) (time.Duration, error) {
 	buf := encodeCheckpoint(ck)
 	tmp := path + ".tmp"
