@@ -374,18 +374,12 @@ func DefaultEngine() *Engine { return engine.Default() }
 // your own (see internal/core).
 type Kernel = core.Kernel
 
-// KernelStats snapshots a kernel's scratch-pool counters: solves,
-// arena reuses versus fresh allocations, per size bucket, plus the
-// exact per-window-length solve histogram (KernelStats.Sizes) that
-// Kernel.Tune consumes to install exact-capacity pools for the hot
-// sizes.
+// KernelStats snapshots a kernel's scratch-pool counters: solves, and
+// arena reuses versus fresh allocations, per size bucket.
 type KernelStats = core.KernelStats
 
 // KernelBucketStats is one capacity class of a kernel's scratch pool.
 type KernelBucketStats = core.KernelBucketStats
-
-// KernelSizeStats is one exact window length's solve count.
-type KernelSizeStats = core.KernelSizeStats
 
 // NewKernel returns an empty solver kernel.
 //

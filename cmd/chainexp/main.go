@@ -58,6 +58,13 @@ func main() {
 	statsDump := flag.Bool("stats", false,
 		"print a one-shot metrics summary (solver team counters, per-shard solve latency quantiles, memo traffic) at exit")
 	flag.Parse()
+	if *solveWorkers < 0 {
+		// The engine reads any negative width as auto; the flag spells
+		// auto as 0, so a negative value is a typo, not a request.
+		log.Printf("-solve-workers must be >= 0, got %d", *solveWorkers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Every sweep plans through the shared batch engine; sizing it here
 	// also sizes the validation and robustness fan-outs. The memo means

@@ -157,6 +157,12 @@ func main() {
 	sloSample := flag.Duration("slo-sample", opsDefaults.SampleInterval,
 		"SLO sampling and shed-coupling cadence")
 	flag.Parse()
+	engineWorkers, err := engineSolveWorkers(*solveWorkers)
+	if err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	memo := *cacheSize
 	if memo <= 0 {
@@ -173,12 +179,6 @@ func main() {
 		defer journal.Close()
 		store = journal
 	}
-	// CLI semantics (1 serial, 0 auto) map onto engine.Options, where
-	// zero is the compat serial default and negative selects auto.
-	engineSolveWorkers := *solveWorkers
-	if engineSolveWorkers == 0 {
-		engineSolveWorkers = -1
-	}
 	opsCfg := opsDefaults
 	opsCfg.AdmitConcurrent = *admitConcurrent
 	opsCfg.AdmitQueue = *admitQueue
@@ -188,7 +188,7 @@ func main() {
 	opsCfg.SampleInterval = *sloSample
 	srv := newServerWithOps(engine.New(engine.Options{
 		Workers: *workers, CacheSize: memo, Shards: *shards,
-		SolveWorkers: engineSolveWorkers, Metrics: plane.engine,
+		SolveWorkers: engineWorkers, Metrics: plane.engine,
 	}), store, *storeDir, plane, opsCfg)
 	defer srv.eng.Close()
 	srv.startOps()
@@ -237,6 +237,20 @@ func main() {
 	// Wait for Shutdown to finish draining in-flight handlers before the
 	// deferred engine Close tears the pool down under them.
 	<-shutdownDone
+}
+
+// engineSolveWorkers maps the -solve-workers value (1 serial, 0 auto,
+// k>1 pinned) onto engine.Options, where zero is the compat serial
+// default and negative selects auto. A negative flag value is rejected
+// rather than passed through, where the engine would read it as auto.
+func engineSolveWorkers(v int) (int, error) {
+	switch {
+	case v < 0:
+		return 0, fmt.Errorf("-solve-workers must be >= 0, got %d", v)
+	case v == 0:
+		return -1, nil
+	}
+	return v, nil
 }
 
 // defaultShards resolves the -shards default: the CHAINSERVE_SHARDS

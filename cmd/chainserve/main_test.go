@@ -279,6 +279,20 @@ func TestDefaultShards(t *testing.T) {
 	}
 }
 
+func TestEngineSolveWorkers(t *testing.T) {
+	for _, tc := range []struct{ flag, want int }{{1, 1}, {0, -1}, {4, 4}} {
+		if got, err := engineSolveWorkers(tc.flag); err != nil || got != tc.want {
+			t.Errorf("engineSolveWorkers(%d) = %d, %v; want %d", tc.flag, got, err, tc.want)
+		}
+	}
+	for _, v := range []int{-1, -5} {
+		_, err := engineSolveWorkers(v)
+		if err == nil || !strings.Contains(err.Error(), "-solve-workers") {
+			t.Errorf("engineSolveWorkers(%d) error = %v, want one naming -solve-workers", v, err)
+		}
+	}
+}
+
 func TestDefaultDrainTimeout(t *testing.T) {
 	env := func(vals map[string]string) func(string) string {
 		return func(k string) string { return vals[k] }
@@ -501,7 +515,6 @@ func TestMetricsKernelScratchGauges(t *testing.T) {
 		"chainserve_kernel_scratch_buckets 1",
 		`chainserve_kernel_scratch_bucket_arenas_total{cap="8",kind="reused"} `,
 		`chainserve_kernel_scratch_bucket_arenas_total{cap="8",kind="fresh"} `,
-		`chainserve_kernel_bucket_solves_total{cap="8"} 3`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

@@ -202,32 +202,6 @@ func (s *server) initObs() {
 				set.Set(float64(b.Fresh), strconv.Itoa(b.Cap), "fresh")
 			}
 		}, "cap", "kind")
-	reg.RegisterCounterFunc("chainserve_kernel_bucket_solves_total",
-		"Completed solves per scratch size class — the workload histogram behind bucket tuning.",
-		func(set obs.LabelSetter) {
-			snap.mu.Lock()
-			buckets := snap.eng.Kernel.Buckets
-			snap.mu.Unlock()
-			for _, b := range buckets {
-				set.Set(float64(b.Solves), strconv.Itoa(b.Cap))
-			}
-		}, "cap")
-	// The two kernel families new to the registry plane: the exact
-	// per-n solve histogram Engine.Tune consumes (KernelStats.Sizes is
-	// capped at the hottest lengths, so the label universe can shift —
-	// a gauge, reset every scrape) and the scratch-arena footprint per
-	// size class.
-	reg.RegisterGaugeFunc("chainckpt_kernel_size_solves",
-		"Completed solves per exact window length (hottest lengths only) — the input to workload-aware bucket tuning.",
-		func(set obs.LabelSetter) {
-			snap.mu.Lock()
-			sizes := snap.eng.Kernel.Sizes
-			snap.mu.Unlock()
-			set.Reset()
-			for _, sz := range sizes {
-				set.Set(float64(sz.Solves), strconv.Itoa(sz.N))
-			}
-		}, "n")
 	reg.RegisterGaugeFunc("chainckpt_kernel_arena_bytes",
 		"Bytes one scratch arena of each active size class pins (cap = arena capacity in tasks).",
 		func(set obs.LabelSetter) {

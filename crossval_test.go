@@ -11,10 +11,7 @@ package chainckpt
 import (
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"chainckpt/internal/bruteforce"
 	"chainckpt/internal/core"
@@ -371,17 +368,17 @@ func TestCrossValidationShardedEngineByteIdentical(t *testing.T) {
 }
 
 // TestCrossValidationOpsPlaneDeterminism is the determinism bar for
-// the performance actuators that remain: the per-request solve width
-// and scratch-pool retuning. Plans produced at mixed widths while a
-// background churner retunes the pools must be byte-identical (same
-// expected-makespan bits, same schedule actions) to plans from an
-// untouched serial engine. The churned engine runs without a memo so
-// every pass re-solves, and defaults to auto so a request leaving
+// the performance actuator that remains: the per-request solve width.
+// Plans produced at mixed widths, over pooled arenas recycled across
+// passes and widths, must be byte-identical (same expected-makespan
+// bits, same schedule actions) to plans from an untouched serial
+// engine. The mixed-width engine runs without a memo so every pass
+// re-solves, and defaults to auto so a request leaving
 // Opts.SolveWorkers at 0 takes the solver's crossover-gated path.
 func TestCrossValidationOpsPlaneDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	churned := NewEngine(EngineOptions{Workers: 4, Shards: 4, CacheSize: -1, SolveWorkers: -1})
-	defer churned.Close()
+	mixed := NewEngine(EngineOptions{Workers: 4, Shards: 4, CacheSize: -1, SolveWorkers: -1})
+	defer mixed.Close()
 	baseline := NewEngine(EngineOptions{Workers: 4, Shards: 4})
 	defer baseline.Close()
 
@@ -404,43 +401,20 @@ func TestCrossValidationOpsPlaneDeterminism(t *testing.T) {
 	}
 	want := baseline.PlanMany(t.Context(), reqs)
 
-	stop := make(chan struct{})
-	var tunes atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			churned.Tune()
-			tunes.Add(1)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
 	for pass := 0; pass < 4; pass++ {
-		got := churned.PlanMany(t.Context(), wide)
+		got := mixed.PlanMany(t.Context(), wide)
 		for i := range reqs {
 			if got[i].Err != nil || want[i].Err != nil {
-				t.Fatalf("pass %d request %d: churned err=%v baseline err=%v",
+				t.Fatalf("pass %d request %d: mixed err=%v baseline err=%v",
 					pass, i, got[i].Err, want[i].Err)
 			}
 			if math.Float64bits(got[i].Result.ExpectedMakespan) != math.Float64bits(want[i].Result.ExpectedMakespan) {
-				t.Errorf("pass %d request %d: churned %.17g vs baseline %.17g",
+				t.Errorf("pass %d request %d: mixed %.17g vs baseline %.17g",
 					pass, i, got[i].Result.ExpectedMakespan, want[i].Result.ExpectedMakespan)
 			}
 			if !got[i].Result.Schedule.Equal(want[i].Result.Schedule) {
-				t.Errorf("pass %d request %d: schedule drifted at width %d under Tune churn", pass, i, wide[i].Opts.SolveWorkers)
+				t.Errorf("pass %d request %d: schedule drifted at width %d", pass, i, wide[i].Opts.SolveWorkers)
 			}
 		}
-	}
-	close(stop)
-	wg.Wait()
-	if tunes.Load() == 0 {
-		t.Fatal("churner never completed a Tune")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -121,30 +120,6 @@ func (sc *scratch) putMem(ms *memScratch) {
 	sc.dp.mu.Unlock()
 }
 
-// prewarm builds the lazy parts of an arena ahead of its first solve:
-// the dynamic-program buffers plus one memLevel arena per prospective
-// team member, partial scratch included. Tune uses it so the first
-// parallel solve through a fresh exact pool finds width arenas on the
-// free list instead of W workers all allocating (cap+1)^2 row buffers
-// at once.
-func (sc *scratch) prewarm(width int) {
-	if width < 1 {
-		width = 1
-	}
-	dp := sc.ensureDP(sc.cap)
-	dp.mu.Lock()
-	have := len(dp.mem)
-	dp.mu.Unlock()
-	for ; have < width; have++ {
-		ms := &memScratch{
-			rows:    make([][]float64, sc.cap+1),
-			rowBuf:  make([]float64, (sc.cap+1)*(sc.cap+1)),
-			partial: newPartialScratch(sc.cap),
-		}
-		sc.putMem(ms)
-	}
-}
-
 // reconPartial returns the reconstruct pass's ADMV partial scratch.
 func (sc *scratch) reconPartial() *partialScratch {
 	dp := sc.dp
@@ -166,25 +141,6 @@ func (sc *scratch) reconPartial() *partialScratch {
 type Kernel struct {
 	solves  atomic.Uint64
 	buckets [48]kernelBucket
-	// exact maps hot window lengths to exact-capacity pools installed by
-	// Tune; nil (or missing entries) fall through to the power-of-two
-	// buckets. Replaced wholesale by Tune, never mutated in place.
-	exact atomic.Pointer[map[int]*kernelBucket]
-
-	// sizes is the per-window-length solve histogram Tune consumes; the
-	// map is bounded so hostile traffic cannot grow it without limit.
-	sizeMu sync.Mutex
-	sizes  map[int]uint64
-
-	// tuneMu serializes Tune's load-build-store of exact, so concurrent
-	// tuners cannot silently discard each other's installed pools;
-	// acquire/release stay lock-free on the atomic pointer.
-	tuneMu sync.Mutex
-
-	// retired* accumulate the counters of exact pools dropped by a
-	// re-Tune, so Stats totals (and the Prometheus counters fed from
-	// them) stay monotonic when the hot set shifts.
-	retiredReuses, retiredFresh, retiredSolves atomic.Uint64
 
 	// team is the kernel's persistent solve team: helper goroutines that
 	// parallel solves (Options.SolveWorkers) tile their DP phases
@@ -198,7 +154,6 @@ type kernelBucket struct {
 	pool   sync.Pool
 	reuses atomic.Uint64
 	fresh  atomic.Uint64
-	solves atomic.Uint64
 }
 
 // KernelStats is a snapshot of a kernel's pool counters.
@@ -209,15 +164,8 @@ type KernelStats struct {
 	ScratchReuses uint64 `json:"scratch_reuses"`
 	// ScratchFresh counts solves that had to allocate a new arena.
 	ScratchFresh uint64 `json:"scratch_fresh"`
-	// Buckets reports the per-capacity pools that have been touched,
-	// including any exact-capacity pools installed by Tune (their Cap is
-	// the exact window length, not a power of two).
+	// Buckets reports the per-capacity pools that have been touched.
 	Buckets []KernelBucketStats `json:"buckets,omitempty"`
-	// Sizes refines the bucket histogram to exact window lengths:
-	// completed solves per n, hottest first (capped at the top 64
-	// lengths). It is the input Tune uses to pick which sizes deserve an
-	// exact-capacity pool.
-	Sizes []KernelSizeStats `json:"sizes,omitempty"`
 	// Parallel reports the kernel's solve-team counters.
 	Parallel KernelParallelStats `json:"parallel"`
 }
@@ -252,14 +200,6 @@ type KernelParallelStats struct {
 	Workers int `json:"workers"`
 }
 
-// KernelSizeStats is one exact window length's solve count.
-type KernelSizeStats struct {
-	// N is the window length in tasks.
-	N int `json:"n"`
-	// Solves counts completed planning runs of exactly this length.
-	Solves uint64 `json:"solves"`
-}
-
 // KernelBucketStats is one capacity class of a kernel's scratch pool.
 type KernelBucketStats struct {
 	// Cap is the bucket's arena capacity in tasks (a power of two).
@@ -267,11 +207,6 @@ type KernelBucketStats struct {
 	// Reuses and Fresh count arena recycles and allocations.
 	Reuses uint64 `json:"reuses"`
 	Fresh  uint64 `json:"fresh"`
-	// Solves counts completed planning runs whose window fell in this
-	// size class — the workload histogram that tells which bucket sizes
-	// real traffic actually hits, the input to workload-aware bucket
-	// tuning (exact per-n pools for the hot sizes).
-	Solves uint64 `json:"solves"`
 }
 
 // NewKernel returns an empty kernel. The zero cost of creating one makes
@@ -303,138 +238,28 @@ func bucketIndex(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// BucketCap returns the scratch-pool capacity class an n-task window
-// falls in (the smallest power of two >= max(n, 8)): the Cap of the
-// KernelBucketStats row that counts its solves.
-func BucketCap(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return 1 << bucketIndex(n)
-}
-
-// bucketFor returns the pool serving an n-task window and the capacity
-// its arenas are built with: the exact-capacity pool when Tune has
-// installed one for n, the power-of-two bucket otherwise.
-func (k *Kernel) bucketFor(n int) (*kernelBucket, int) {
-	if m := k.exact.Load(); m != nil {
-		if b, ok := (*m)[n]; ok {
-			return b, n
-		}
-	}
-	i := bucketIndex(n)
-	return &k.buckets[i], 1 << i
-}
-
-// acquire draws an arena for an n-task window from the pools.
+// acquire draws an arena for an n-task window from its power-of-two
+// bucket.
 func (k *Kernel) acquire(n int) *scratch {
-	b, cap := k.bucketFor(n)
+	i := bucketIndex(n)
+	b := &k.buckets[i]
 	if sc, ok := b.pool.Get().(*scratch); ok {
 		b.reuses.Add(1)
 		return sc
 	}
 	b.fresh.Add(1)
-	return newScratch(cap)
+	return newScratch(1 << i)
 }
 
-// release returns an arena to its pool. An exact-capacity arena whose
-// pool a re-Tune has retired is dropped (it must not land in a
-// power-of-two bucket, where a larger window would overflow it).
+// release returns an arena to the bucket it was drawn from.
 func (k *Kernel) release(sc *scratch) {
-	if m := k.exact.Load(); m != nil {
-		if b, ok := (*m)[sc.cap]; ok {
-			b.pool.Put(sc)
-			return
-		}
-	}
-	if i := bucketIndex(sc.cap); sc.cap == 1<<i {
-		k.buckets[i].pool.Put(sc)
-	}
+	k.buckets[bucketIndex(sc.cap)].pool.Put(sc)
 }
 
-// noteSize records one completed solve of an n-task window in the
-// per-length histogram.
-func (k *Kernel) noteSize(n int) {
-	k.sizeMu.Lock()
-	if k.sizes == nil {
-		k.sizes = make(map[int]uint64)
-	}
-	if _, ok := k.sizes[n]; ok || len(k.sizes) < 4096 {
-		k.sizes[n]++
-	}
-	k.sizeMu.Unlock()
-}
-
-// Tune installs exact-capacity scratch pools for the hottest window
-// lengths of hist.Sizes — workload-aware bucket tuning. A power-of-two
-// bucket serves every n in (cap/2, cap] with arenas built for cap, so a
-// hot odd size pays for arrays up to ~4x larger than it needs; an exact
-// pool builds its arenas at precisely n (see ArenaBytes). Up to eight
-// sizes are tuned, hottest first; lengths that are already powers of
-// two are skipped (their bucket arena is already exact), and pools
-// already installed for still-hot sizes are kept, warm arenas and
-// counters intact. Tune is cheap and safe to call at any time — in
-// the idiomatic self-tuning form k.Tune(k.Stats()), or with a histogram
-// recorded by another kernel (a production mix replayed into a fresh
-// process). Solves in flight keep the arenas they hold; their release
-// routes by capacity, so no arena ever serves a window it cannot fit.
-func (k *Kernel) Tune(hist KernelStats) {
-	const topK = 8
-	k.tuneMu.Lock()
-	defer k.tuneMu.Unlock()
-	old := k.exact.Load()
-	m := make(map[int]*kernelBucket, topK)
-	for _, s := range hist.Sizes {
-		if len(m) >= topK {
-			break
-		}
-		if s.N < 1 || s.Solves == 0 || s.N == 1<<bucketIndex(s.N) {
-			continue
-		}
-		if old != nil {
-			if b, ok := (*old)[s.N]; ok {
-				m[s.N] = b
-				continue
-			}
-		}
-		b := &kernelBucket{}
-		// Pre-size for the first solve: a warm exact arena with its DP
-		// buffers built and one memLevel arena per member of the widest
-		// team this kernel has run. A parallel solve draws W memLevel
-		// arenas concurrently, so a pre-warm sized for one scratch per
-		// solve would push W-1 fresh (cap+1)^2 allocations into the
-		// first tuned solve.
-		sc := newScratch(s.N)
-		sc.prewarm(int(k.team.widest.Load()))
-		b.pool.Put(sc)
-		m[s.N] = b
-	}
-	// Fold the counters of pools this re-tune retires into the retired
-	// accumulators before replacing the map: Stats totals must never go
-	// backwards. (An in-flight solve holding a retired arena may still
-	// bump the old bucket after the fold; that sliver is accepted.)
-	if old != nil {
-		for n, b := range *old {
-			if _, kept := m[n]; kept {
-				continue
-			}
-			k.retiredReuses.Add(b.reuses.Load())
-			k.retiredFresh.Add(b.fresh.Load())
-			k.retiredSolves.Add(b.solves.Load())
-		}
-	}
-	k.exact.Store(&m)
-}
-
-// Stats returns a snapshot of the kernel's pool counters. Totals
-// include the accumulated counters of exact pools retired by re-Tunes
-// (their per-capacity rows disappear, but ScratchReuses/ScratchFresh
-// stay monotonic).
+// Stats returns a snapshot of the kernel's pool counters.
 func (k *Kernel) Stats() KernelStats {
 	st := KernelStats{
-		Solves:        k.solves.Load(),
-		ScratchReuses: k.retiredReuses.Load(),
-		ScratchFresh:  k.retiredFresh.Load(),
+		Solves: k.solves.Load(),
 		Parallel: KernelParallelStats{
 			Solves:         k.team.solves.Load(),
 			Tiles:          k.team.tiles.Load(),
@@ -446,37 +271,13 @@ func (k *Kernel) Stats() KernelStats {
 		},
 	}
 	for i := range k.buckets {
-		r, f, s := k.buckets[i].reuses.Load(), k.buckets[i].fresh.Load(), k.buckets[i].solves.Load()
-		if r == 0 && f == 0 && s == 0 {
+		r, f := k.buckets[i].reuses.Load(), k.buckets[i].fresh.Load()
+		if r == 0 && f == 0 {
 			continue
 		}
 		st.ScratchReuses += r
 		st.ScratchFresh += f
-		st.Buckets = append(st.Buckets, KernelBucketStats{Cap: 1 << i, Reuses: r, Fresh: f, Solves: s})
-	}
-	if m := k.exact.Load(); m != nil {
-		for cap, b := range *m {
-			r, f, s := b.reuses.Load(), b.fresh.Load(), b.solves.Load()
-			st.ScratchReuses += r
-			st.ScratchFresh += f
-			st.Buckets = append(st.Buckets, KernelBucketStats{Cap: cap, Reuses: r, Fresh: f, Solves: s})
-		}
-		sort.Slice(st.Buckets, func(i, j int) bool { return st.Buckets[i].Cap < st.Buckets[j].Cap })
-	}
-	k.sizeMu.Lock()
-	for n, c := range k.sizes {
-		st.Sizes = append(st.Sizes, KernelSizeStats{N: n, Solves: c})
-	}
-	k.sizeMu.Unlock()
-	sort.Slice(st.Sizes, func(i, j int) bool {
-		a, b := st.Sizes[i], st.Sizes[j]
-		if a.Solves != b.Solves {
-			return a.Solves > b.Solves
-		}
-		return a.N < b.N
-	})
-	if len(st.Sizes) > 64 {
-		st.Sizes = st.Sizes[:64]
+		st.Buckets = append(st.Buckets, KernelBucketStats{Cap: 1 << i, Reuses: r, Fresh: f})
 	}
 	return st
 }
@@ -484,12 +285,10 @@ func (k *Kernel) Stats() KernelStats {
 // ArenaBytes returns the backing bytes of one fully built scratch arena
 // of the given capacity (segment tables, prefix weights, and the
 // dynamic-program buffers; the lazily grown memLevel arenas are
-// excluded). Benchmarks report it as arena-bytes/solve to quantify what
-// exact-capacity pools save over power-of-two buckets, and the
-// observability plane multiplies it by KernelStats.Buckets arena counts
-// to expose pooled scratch memory as a gauge. Core itself stays free of
-// any obs dependency — the 5 allocs/op warm path is gated by
-// construction, not by instrumentation care.
+// excluded). The observability plane multiplies it by
+// KernelStats.Buckets arena counts to expose pooled scratch memory as a
+// gauge. Core itself stays free of any obs dependency — the 5 allocs/op
+// warm path is gated by construction, not by instrumentation care.
 func ArenaBytes(cap int) int {
 	size := (cap + 1) * (cap + 1)
 	b := 8 * (7*size + cap + 1)      // tables + pre
@@ -566,11 +365,7 @@ func (k *Kernel) planWindow(alg Algorithm, c *chain.Chain, p platform.Platform, 
 	s.buildTables()
 	res, err := s.run()
 	if err == nil {
-		n := c.Len() - lo
 		k.solves.Add(1)
-		b, _ := k.bucketFor(n)
-		b.solves.Add(1)
-		k.noteSize(n)
 	}
 	return res, err
 }

@@ -219,37 +219,3 @@ func BenchmarkKernelStealSolve(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkKernelTunedScratch quantifies workload-aware bucket tuning:
-// a steady mix of n=50 solves served by the power-of-two bucket carries
-// cap-64 arenas (every table sized for 64 tasks), while a kernel tuned
-// on its own solve histogram (Kernel.Tune) serves the same mix from an
-// exact cap-50 pool. The arena-bytes/solve metric reports the scratch
-// footprint backing each solve — the before/after of exact per-n pools;
-// time and allocs/op must not regress (both paths recycle one arena).
-func BenchmarkKernelTunedScratch(b *testing.B) {
-	p := platform.Hera()
-	c := benchChain(b, 50)
-	run := func(b *testing.B, k *Kernel, cap int) {
-		b.Helper()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := k.PlanOpts(AlgADMVStar, c, p, Options{SolveWorkers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(ArenaBytes(cap)), "arena-bytes/solve")
-	}
-	b.Run("bucketed", func(b *testing.B) {
-		run(b, NewKernel(), 64)
-	})
-	b.Run("tuned", func(b *testing.B) {
-		k := NewKernel()
-		if _, err := k.PlanOpts(AlgADMVStar, c, p, Options{SolveWorkers: 1}); err != nil {
-			b.Fatal(err) // prime the solve histogram Tune consumes
-		}
-		k.Tune(k.Stats())
-		run(b, k, 50)
-	})
-}

@@ -8,7 +8,6 @@ import (
 	"chainckpt/internal/chain"
 	"chainckpt/internal/platform"
 	"chainckpt/internal/schedule"
-	"chainckpt/internal/workload"
 )
 
 // hotPlatform returns Hera with rates scaled up so small chains place
@@ -212,22 +211,10 @@ func TestKernelStatsBuckets(t *testing.T) {
 	if st.ScratchFresh+st.ScratchReuses != 2*rounds {
 		t.Errorf("fresh %d + reuses %d != %d solves", st.ScratchFresh, st.ScratchReuses, 2*rounds)
 	}
-	// The per-bucket solve histogram: `rounds` solves in each size class
-	// (the 3-task chain lands in the cap-8 bucket, the 40-task one in
-	// cap-64), summing to the kernel total.
-	var bucketSolves uint64
-	for _, b := range st.Buckets {
-		if b.Solves != rounds {
-			t.Errorf("bucket cap %d: solves %d, want %d", b.Cap, b.Solves, rounds)
-		}
-		bucketSolves += b.Solves
-	}
-	if bucketSolves != st.Solves {
-		t.Errorf("bucket solves sum %d != kernel solves %d", bucketSolves, st.Solves)
-	}
-	// And the exact-length histogram refines it: n=3 and n=40.
-	if len(st.Sizes) != 2 || st.Sizes[0].Solves != rounds || st.Sizes[1].Solves != rounds {
-		t.Errorf("size histogram: %+v", st.Sizes)
+	// The 3-task chain lands in the cap-8 bucket, the 40-task one in
+	// cap-64.
+	if st.Buckets[0].Cap != 8 || st.Buckets[1].Cap != 64 {
+		t.Errorf("bucket caps %d, %d, want 8, 64", st.Buckets[0].Cap, st.Buckets[1].Cap)
 	}
 }
 
@@ -248,194 +235,5 @@ func TestKernelRejectsBadWindows(t *testing.T) {
 	}
 	if _, err := k.ReplanSuffix(AlgADMV, nil, p, 0, Options{}); err == nil {
 		t.Error("nil chain accepted")
-	}
-}
-
-// TestKernelSizeHistogram: the per-window-length solve histogram behind
-// Tune must count exact lengths, hottest first.
-func TestKernelSizeHistogram(t *testing.T) {
-	k := NewKernel()
-	p := hotPlatform()
-	solve := func(n int) {
-		t.Helper()
-		c, err := workload.Uniform(n, float64(100*n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := k.Plan(AlgADV, c, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	solve(5)
-	solve(5)
-	solve(5)
-	solve(12)
-	st := k.Stats()
-	if len(st.Sizes) != 2 || st.Sizes[0] != (KernelSizeStats{N: 5, Solves: 3}) ||
-		st.Sizes[1] != (KernelSizeStats{N: 12, Solves: 1}) {
-		t.Fatalf("size histogram: %+v", st.Sizes)
-	}
-}
-
-// TestKernelTuneExactPools: tuning on the kernel's own histogram must
-// install exact-capacity pools for the hot non-power-of-two lengths,
-// serve later solves of those lengths from exactly sized (pre-warmed)
-// arenas, and leave results bit-identical to an untuned kernel.
-func TestKernelTuneExactPools(t *testing.T) {
-	k := NewKernel()
-	p := hotPlatform()
-	c, err := workload.Uniform(50, 25000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := k.Plan(AlgADMVStar, c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Tune(k.Stats())
-
-	after, err := k.Plan(AlgADMVStar, c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "tuned vs untuned", after, before)
-
-	st := k.Stats()
-	var exact *KernelBucketStats
-	for i := range st.Buckets {
-		if st.Buckets[i].Cap == 50 {
-			exact = &st.Buckets[i]
-		}
-	}
-	if exact == nil {
-		t.Fatalf("no exact cap-50 pool after Tune: %+v", st.Buckets)
-	}
-	// One tuned solve drew exactly one exact arena (whether the
-	// pre-warmed one or a fresh build: sync.Pool may drop items under
-	// -race, so reuse-vs-fresh is not asserted).
-	if exact.Solves != 1 || exact.Reuses+exact.Fresh != 1 {
-		t.Errorf("exact pool counters: %+v (want exactly 1 solve through the exact pool)", *exact)
-	}
-	// The arenas the tuned pool builds are exactly sized.
-	sc := k.acquire(50)
-	if sc.cap != 50 {
-		t.Errorf("tuned acquire built cap %d, want 50", sc.cap)
-	}
-	k.release(sc)
-}
-
-// TestKernelTunePrewarmsTeamScratch is the regression for the
-// one-scratch-per-solve pre-warm bug: Tune used to warm an exact pool
-// with a bare arena (no DP buffers, empty memLevel free list), so the
-// first parallel solve through it had W workers all allocating fresh
-// (cap+1)^2 row buffers at once. After a workers=4 solve taught the
-// kernel its team width, a tuned arena must come out with the DP
-// buffers built and four memLevel arenas — partial scratch included —
-// already on the free list.
-func TestKernelTunePrewarmsTeamScratch(t *testing.T) {
-	k := NewKernel()
-	p := hotPlatform()
-	c, err := workload.Uniform(50, 25000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.PlanOpts(AlgADMVStar, c, p, Options{SolveWorkers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if w := k.team.widest.Load(); w != 4 {
-		t.Fatalf("team widest = %d after a workers=4 solve, want 4", w)
-	}
-	k.Tune(k.Stats())
-
-	// prewarm itself must deliver exactly what a 4-wide team draws:
-	// DP buffers plus four memLevel arenas with their partial scratch.
-	// (Asserted on a directly built arena — sync.Pool may drop the
-	// tuned pool's warm arena under -race, so pulling it back out is
-	// not deterministic.)
-	sc := newScratch(50)
-	sc.prewarm(4)
-	if sc.dp == nil {
-		t.Fatal("pre-warmed arena has no DP buffers")
-	}
-	sc.dp.mu.Lock()
-	warm := len(sc.dp.mem)
-	sc.dp.mu.Unlock()
-	if warm != 4 {
-		t.Fatalf("pre-warmed free list holds %d memLevel arenas, want 4 (one per team member)", warm)
-	}
-	for i := 0; i < warm; i++ {
-		ms := sc.getMem(50, true)
-		if ms.partial == nil {
-			t.Fatalf("pre-warmed memLevel arena %d missing its partial scratch", i)
-		}
-		if len(ms.rowBuf) != 51*51 {
-			t.Fatalf("pre-warmed arena %d rowBuf sized %d, want %d", i, len(ms.rowBuf), 51*51)
-		}
-	}
-
-	// When the tuned pool did retain its warm arena, it must be the
-	// team-wide one, not a bare scratch.
-	tuned := k.acquire(50)
-	defer k.release(tuned)
-	if tuned.cap != 50 {
-		t.Fatalf("tuned acquire built cap %d, want 50", tuned.cap)
-	}
-	if tuned.dp != nil {
-		tuned.dp.mu.Lock()
-		got := len(tuned.dp.mem)
-		tuned.dp.mu.Unlock()
-		if got < 4 {
-			t.Errorf("tuned pool's warm arena holds %d memLevel arenas, want >= 4", got)
-		}
-	}
-}
-
-// TestKernelTuneSkipsPowerOfTwoSizes: a bucket arena already fits a
-// power-of-two window exactly; tuning must not duplicate it.
-func TestKernelTuneSkipsPowerOfTwoSizes(t *testing.T) {
-	k := NewKernel()
-	k.Tune(KernelStats{Sizes: []KernelSizeStats{
-		{N: 64, Solves: 100}, {N: 50, Solves: 10}, {N: 0, Solves: 5},
-	}})
-	m := k.exact.Load()
-	if m == nil || len(*m) != 1 {
-		t.Fatalf("exact pools: %v", m)
-	}
-	if _, ok := (*m)[50]; !ok {
-		t.Errorf("hot non-power-of-two size 50 not tuned")
-	}
-}
-
-// TestKernelRetuneKeepsHotPoolsAndDropsStaleArenas: re-tuning keeps the
-// pools of still-hot sizes (warm arenas and counters intact), retires
-// the rest, and an arena released after its pool was retired must be
-// dropped — never filed into a power-of-two bucket it does not fill.
-func TestKernelRetuneKeepsHotPoolsAndDropsStaleArenas(t *testing.T) {
-	k := NewKernel()
-	hist := KernelStats{Sizes: []KernelSizeStats{{N: 50, Solves: 10}}}
-	k.Tune(hist)
-	first := (*k.exact.Load())[50]
-	k.Tune(hist)
-	if (*k.exact.Load())[50] != first {
-		t.Error("re-tune with the same histogram rebuilt the pool")
-	}
-
-	// Hold a tuned arena across a re-tune that retires its pool.
-	sc := k.acquire(50)
-	if sc.cap != 50 {
-		t.Fatalf("tuned acquire built cap %d, want 50", sc.cap)
-	}
-	before := k.Stats()
-	k.Tune(KernelStats{})
-	k.release(sc) // must be dropped, not pooled
-	sc2 := k.acquire(50)
-	if sc2.cap != 64 {
-		t.Errorf("post-retune acquire built cap %d, want the 64 bucket arena", sc2.cap)
-	}
-	// Retiring the pool must not lose its counters: totals stay
-	// monotonic (the Prometheus counters fed from them must not reset).
-	after := k.Stats()
-	if after.ScratchReuses+after.ScratchFresh < before.ScratchReuses+before.ScratchFresh {
-		t.Errorf("scratch totals went backwards across re-tune: %+v -> %+v", before, after)
 	}
 }

@@ -78,11 +78,6 @@ type solveTeam struct {
 	steals     atomic.Uint64 // steal events (half-span grabs + leftover claims)
 	busyNs     atomic.Int64  // nanoseconds participants spent draining tiles
 	skips      atomic.Uint64 // auto-mode solves that stayed serial
-
-	// widest remembers the largest worker count ever resolved, so
-	// Kernel.Tune can pre-warm exact arenas with one memScratch per
-	// prospective team member (see scratch.prewarm).
-	widest atomic.Int64
 }
 
 // ownedSpan is one participant's contiguous tile range [next, limit),
@@ -228,27 +223,15 @@ func (t *solveTeam) resolveSolveWorkers(requested, n int) (int, error) {
 	case requested == 1:
 		return 1, nil
 	case requested > 1:
-		w := min(requested, maxTeamWorkers)
-		t.noteWidth(w)
-		return w, nil
+		return min(requested, maxTeamWorkers), nil
 	}
 	// Auto: engage only when the window is big enough to amortize the
 	// team and the machine has more than one core to offer.
 	if w := min(runtime.GOMAXPROCS(0), maxAutoWorkers); w > 1 && n >= defaultAutoCrossover {
-		t.noteWidth(w)
 		return w, nil
 	}
 	t.skips.Add(1)
 	return 1, nil
-}
-
-func (t *solveTeam) noteWidth(w int) {
-	for {
-		cur := t.widest.Load()
-		if int64(w) <= cur || t.widest.CompareAndSwap(cur, int64(w)) {
-			return
-		}
-	}
 }
 
 // run executes fn(0..tiles-1) on the caller plus up to workers-1 team

@@ -500,20 +500,6 @@ func (e *Engine) Kernel() *core.Kernel {
 	return e.shards[0].kernel
 }
 
-// Tune applies workload-aware scratch tuning to every shard kernel:
-// each kernel installs exact-capacity arena pools for the hottest
-// window lengths its own solve histogram has recorded (see
-// core.Kernel.Tune).
-func (e *Engine) Tune() {
-	if e.shared != nil {
-		e.shared.Tune(e.shared.Stats())
-		return
-	}
-	for _, s := range e.shards {
-		s.kernel.Tune(s.kernel.Stats())
-	}
-}
-
 // Stats returns a snapshot of the engine's counters: the cross-shard
 // aggregates plus the per-shard breakdown.
 func (e *Engine) Stats() Stats {
@@ -553,15 +539,13 @@ func (e *Engine) Stats() Stats {
 }
 
 // mergeKernelStats sums per-shard kernel snapshots into one engine-wide
-// view: counters add, buckets merge by capacity, size histograms merge
-// by window length.
+// view: counters add, buckets merge by capacity.
 func mergeKernelStats(sts []core.KernelStats) core.KernelStats {
 	if len(sts) == 1 {
 		return sts[0]
 	}
 	out := core.KernelStats{}
 	buckets := make(map[int]core.KernelBucketStats)
-	sizes := make(map[int]uint64)
 	for _, st := range sts {
 		out.Solves += st.Solves
 		out.ScratchReuses += st.ScratchReuses
@@ -578,27 +562,13 @@ func mergeKernelStats(sts []core.KernelStats) core.KernelStats {
 			m.Cap = b.Cap
 			m.Reuses += b.Reuses
 			m.Fresh += b.Fresh
-			m.Solves += b.Solves
 			buckets[b.Cap] = m
-		}
-		for _, s := range st.Sizes {
-			sizes[s.N] += s.Solves
 		}
 	}
 	for _, b := range buckets {
 		out.Buckets = append(out.Buckets, b)
 	}
 	sort.Slice(out.Buckets, func(i, j int) bool { return out.Buckets[i].Cap < out.Buckets[j].Cap })
-	for n, c := range sizes {
-		out.Sizes = append(out.Sizes, core.KernelSizeStats{N: n, Solves: c})
-	}
-	sort.Slice(out.Sizes, func(i, j int) bool {
-		a, b := out.Sizes[i], out.Sizes[j]
-		if a.Solves != b.Solves {
-			return a.Solves > b.Solves
-		}
-		return a.N < b.N
-	})
 	return out
 }
 

@@ -197,29 +197,10 @@ func TestShardedStressAccountingAndSingleflight(t *testing.T) {
 	}
 }
 
-func TestEngineTuneTunesEveryShardKernel(t *testing.T) {
-	eng := New(Options{Workers: 2, CacheSize: -1, Shards: 2})
-	defer eng.Close()
-	reqs := testRequests(t, 12)
-	for _, resp := range eng.PlanMany(context.Background(), reqs) {
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-	}
-	eng.Tune()
-	// Re-plan the same instances: tuned kernels must answer identically.
-	want := eng.Stats().Kernel.Solves
-	for _, resp := range eng.PlanMany(context.Background(), reqs) {
-		if resp.Err != nil {
-			t.Fatal(resp.Err)
-		}
-	}
-	if got := eng.Stats().Kernel.Solves; got != want+uint64(len(reqs)) {
-		t.Errorf("solves after tune = %d, want %d", got, want+uint64(len(reqs)))
-	}
-}
-
-func TestEngineTuneWithSharedKernel(t *testing.T) {
+// TestEngineSharedKernelCountsEachSolveOnce: an injected kernel is
+// adopted by every shard, and its solves are reported once engine-wide,
+// never per shard.
+func TestEngineSharedKernelCountsEachSolveOnce(t *testing.T) {
 	kern := core.NewKernel()
 	eng := New(Options{Workers: 2, CacheSize: -1, Shards: 4, Kernel: kern})
 	defer eng.Close()
@@ -241,7 +222,6 @@ func TestEngineTuneWithSharedKernel(t *testing.T) {
 			t.Errorf("shard %d reports kernel stats despite a shared kernel", ss.Shard)
 		}
 	}
-	eng.Tune() // must tune the shared kernel exactly once, not panic
 }
 
 // TestRunStealsAcrossShards: Run must not pre-assign tasks to shards.

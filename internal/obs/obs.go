@@ -222,7 +222,7 @@ type family struct {
 
 	// collect, when set, is invoked at exposition time to refresh or
 	// replace the family's children (used for families derived from
-	// stats snapshots, e.g. kernel per-n solve counts).
+	// stats snapshots, e.g. kernel scratch arenas per size class).
 	collect func(set LabelSetter)
 }
 
@@ -447,7 +447,7 @@ type LabelSetter interface {
 	// Set replaces the value of the child for the given label values.
 	Set(value float64, labelValues ...string)
 	// Reset drops all children (for families whose label universe
-	// shrinks between scrapes, e.g. per-n solve counts after a reset).
+	// shrinks between scrapes, e.g. arena bytes per active size class).
 	Reset()
 }
 
@@ -457,14 +457,7 @@ func (s familySetter) Set(value float64, labelValues ...string) {
 	ch := s.f.childFor(labelValues)
 	switch s.f.kind {
 	case KindCounter:
-		// Collected counters are absolute: keep the full-precision
-		// float for rendering and mirror the delta into the integer
-		// counter for value readers.
 		ch.cf.Store(value)
-		cur := ch.c.Value()
-		if nv := uint64(value); nv > cur {
-			ch.c.Add(nv - cur)
-		}
 	case KindGauge:
 		ch.g.Set(value)
 	}
