@@ -76,7 +76,7 @@ func (e *Evaluator) Evaluate(sched *schedule.Schedule) (float64, error) {
 		case a.Has(schedule.Guaranteed):
 			var seg float64
 			if len(partials) == 0 {
-				seg = s.eSegment(d1, m1, v1, i, ememVal, everifVal)
+				seg = s.eSegment(v1, i, s.rd(d1)+ememVal, s.rm(m1), everifVal)
 			} else {
 				seg = s.epartialFixed(d1, m1, v1, i, partials, ememVal, everifVal)
 				partials = partials[:0]
@@ -119,17 +119,19 @@ func (s *solver) epartialFixed(d1, m1, v1, v2 int, partials []int, ememVal, ever
 	}
 
 	// Eright at each point, right to left.
+	rdE := s.rd(d1) + ememVal
+	gRm := (1 - s.g) * s.rm(m1)
 	er := make([]float64, k+1)
 	er[k] = s.rm(m1)
 	for j := k - 1; j >= 1; j-- {
-		er[j] = s.eRightStep(d1, m1, point(j), point(j+1), ememVal, er[j+1])
+		er[j] = s.eRightStep(point(j), point(j+1), rdE, gRm, er[j+1])
 	}
 
 	// Accumulate the E^- terms with their re-execution multipliers.
 	total := 0.0
 	for j := 0; j < k; j++ {
 		pj, pj1 := point(j), point(j+1)
-		em := s.eMinus(d1, m1, pj, pj1, ememVal, everifV1, er[j+1])
+		em := s.eMinus(pj, pj1, rdE, gRm, everifV1, er[j+1])
 		if pj1 == v2 {
 			total += em + (s.sM1[s.idx(pj, v2)]+1)*(s.vstarAt(v2)-s.vAt(v2))
 		} else {

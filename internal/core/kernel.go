@@ -18,7 +18,7 @@ import (
 // planning allocates nothing beyond its results.
 type scratch struct {
 	cap    int
-	tables []float64 // 7*(cap+1)^2 backing of the segment tables
+	tables []float64 // 6*(cap+1)^2 backing of the segment tables
 	pre    []float64 // cap+1 window prefix weights
 	dp     *dpScratch
 }
@@ -45,11 +45,11 @@ type dpScratch struct {
 	mem []*memScratch // free list for memLevel workers
 }
 
-// memScratch is the per-goroutine arena of one memLevel call: the lazy
-// verification rows and, for ADMV, the partial-verification scratch.
+// memScratch is the per-goroutine arena of one memLevel call: the
+// verification row being pushed and, for ADMV, the partial-verification
+// scratch.
 type memScratch struct {
-	rows    [][]float64 // cap+1 headers
-	rowBuf  []float64   // (cap+1)^2
+	row     []float64 // cap+1
 	partial *partialScratch
 }
 
@@ -58,7 +58,7 @@ func newScratch(cap int) *scratch {
 	size := (cap + 1) * (cap + 1)
 	return &scratch{
 		cap:    cap,
-		tables: make([]float64, 7*size),
+		tables: make([]float64, 6*size),
 		pre:    make([]float64, cap+1),
 	}
 }
@@ -103,10 +103,7 @@ func (sc *scratch) getMem(n int, needPartial bool) *memScratch {
 	}
 	dp.mu.Unlock()
 	if ms == nil {
-		ms = &memScratch{
-			rows:   make([][]float64, sc.cap+1),
-			rowBuf: make([]float64, (sc.cap+1)*(sc.cap+1)),
-		}
+		ms = &memScratch{row: make([]float64, sc.cap+1)}
 	}
 	if needPartial && ms.partial == nil {
 		ms.partial = newPartialScratch(sc.cap)
@@ -291,7 +288,7 @@ func (k *Kernel) Stats() KernelStats {
 // warm path is gated by construction, not by instrumentation care.
 func ArenaBytes(cap int) int {
 	size := (cap + 1) * (cap + 1)
-	b := 8 * (7*size + cap + 1)      // tables + pre
+	b := 8 * (6*size + cap + 1)      // tables + pre
 	b += 8 * 2 * cap * (cap + 1)     // ememBuf + mprvBuf
 	b += 8 * 2 * size                // edskBuf + dprvBuf
 	b += 8 * (2*(cap+1) + 3*(cap+1)) // row, arg, pos stacks

@@ -34,6 +34,9 @@ func BenchmarkKernelPlan(b *testing.B) {
 	}{
 		{"ADMVStar-50", AlgADMVStar, 50},
 		{"ADMV-20", AlgADMV, 20},
+		// The largest shapes of the ledger's plan-cold workload.
+		{"ADV-160", AlgADV, 160},
+		{"ADMVStar-70", AlgADMVStar, 70},
 	} {
 		c := benchChain(b, bc.n)
 		b.Run(bc.name, func(b *testing.B) {

@@ -16,8 +16,9 @@ import (
 //   - memory levels: the whole level of disk position d1 reads only the
 //     read-only tables and writes only row d1 of the emem/mprev arenas;
 //   - disk level: along the checkpoint-count axis k the recurrence is a
-//     wavefront — every edisk[d2][k] reads only column k-1 — so the d2
-//     entries of one k-level are independent.
+//     wavefront — every edisk[k][d2] reads only row k-1 — so the d2
+//     entries of one k-level are independent; a tile owns a d2 range
+//     and every predecessor pushes into it in ascending order.
 //
 // A solveTeam executes such a phase owner-computes style: the tile index
 // range is cut into one contiguous span per participant, and each
@@ -32,7 +33,8 @@ import (
 //
 // Byte-identity is indifferent to all of this: every tile writes to
 // slots determined by its index alone, and any min-reduction stays
-// inside a tile scanning candidates in index order with a strict '<'.
+// inside a tile, offering each slot its candidates in index order with
+// a strict '<'.
 // Execution order — and therefore ownership layout and steal schedule —
 // is invisible in the output: a parallel solve is byte-identical to the
 // serial one for any worker count and any steal interleaving.
@@ -44,9 +46,9 @@ const (
 	// thousands of table rows per tile and the team wins on any
 	// multi-core machine (see BenchmarkKernelParallelSolve).
 	defaultAutoCrossover = 192
-	// maxAutoWorkers caps the auto team: memory-level tiles each draw a
-	// (n+1)^2 memScratch arena, so very wide teams trade cache locality
-	// and memory for little extra speedup on the triangular phases.
+	// maxAutoWorkers caps the auto team: every participant streams its
+	// own rows of the shared segment tables, so very wide teams trade
+	// cache locality for little extra speedup on the triangular phases.
 	maxAutoWorkers = 8
 	// maxTeamWorkers bounds explicit SolveWorkers requests and the
 	// helper goroutines a kernel will ever keep.

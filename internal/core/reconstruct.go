@@ -27,7 +27,7 @@ func (s *solver) reconstruct(kFinal int, diskPrev [][]int, memPrevAll [][]int, e
 			return nil, fmt.Errorf("core: broken disk argmin chain at (%d, %d)", d, k)
 		}
 		disks = append(disks, d)
-		d = diskPrev[d][k]
+		d = diskPrev[k][d]
 	}
 	reverseInts(disks)
 
@@ -77,7 +77,7 @@ func (s *solver) reconstruct(kFinal int, diskPrev [][]int, memPrevAll [][]int, e
 				if s.alg == AlgADMV {
 					// Recompute the optimal partial chain for (v1, v2) and
 					// mark the interior positions.
-					s.epartial(sc, d1, m1, v1, v2, ememAll[d1][m1], row[v1])
+					s.epartial(sc, m1, v1, v2, s.rd(d1)+ememAll[d1][m1], row[v1])
 					for p := sc.next[v1]; p != v2; p = sc.next[p] {
 						if p <= v1 || p > v2 {
 							return nil, fmt.Errorf("core: broken partial chain at %d in (%d,%d)", p, v1, v2)

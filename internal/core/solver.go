@@ -64,8 +64,7 @@ type solver struct {
 	//	sInt = e^{ls W} * (e^{lf W}-1)/lf      sFm1 = e^{ls W} (e^{lf W}-1)
 	//	fsM1 = e^{(lf+ls) W} - 1               sM1  = e^{ls W} - 1
 	//	pf   = 1 - e^{-lf W}                   pfTl = pf * T^lost
-	//	pnW  = (1-pf) * W
-	sInt, sFm1, fsM1, sM1, pf, pfTl, pnW []float64
+	sInt, sFm1, fsM1, sM1, pf, pfTl []float64
 }
 
 func newSolverWithCosts(c *chain.Chain, p platform.Platform, alg Algorithm, costs *platform.Costs) (*solver, error) {
@@ -130,14 +129,13 @@ func newWindowSolver(c *chain.Chain, p platform.Platform, alg Algorithm, lo int,
 func (s *solver) buildTables() {
 	n := s.n
 	size := (n + 1) * (n + 1)
-	backing := s.sc.tables[: 7*size : 7*size]
+	backing := s.sc.tables[: 6*size : 6*size]
 	s.sInt, backing = backing[:size:size], backing[size:]
 	s.sFm1, backing = backing[:size:size], backing[size:]
 	s.fsM1, backing = backing[:size:size], backing[size:]
 	s.sM1, backing = backing[:size:size], backing[size:]
 	s.pf, backing = backing[:size:size], backing[size:]
-	s.pfTl, backing = backing[:size:size], backing[size:]
-	s.pnW = backing[:size:size]
+	s.pfTl = backing[:size:size]
 
 	pre := s.sc.pre[: n+1 : n+1]
 	pre[0] = 0
@@ -161,7 +159,6 @@ func (s *solver) buildTables() {
 				s.sM1[k] = expmath.GrowthM1(ls, w)
 				s.pf[k] = pf
 				s.pfTl[k] = pf * expmath.TLost(lf, w)
-				s.pnW[k] = (1 - pf) * w
 			}
 		}
 	}
@@ -235,45 +232,56 @@ func (s *solver) vAt(i int) float64 {
 	return s.p.V
 }
 
+// segmentCost is the shape Equation (4) and E^- share, evaluated on
+// one segment's table entries:
+//
+//	sInt + (sM1+1) V + sFm1 rdE + fsM1 everif + sM1 R
+//
+// Every caller, whether indexed or scanning a table row, goes through
+// it, so all of them perform the same operations in the same order.
+func segmentCost(sInt, sM1, sFm1, fsM1, v, rdE, everif, r float64) float64 {
+	return sInt + (sM1+1)*v + sFm1*rdE + fsM1*everif + sM1*r
+}
+
 // eSegment implements the paper's Equation (4): the expected time to
 // successfully execute the tasks T_{v1+1..v2} ending with a guaranteed
-// verification, given the last disk checkpoint at d1 (with accumulated
-// re-execution time ememVal = Emem(d1,m1)) and the last memory checkpoint
-// at m1 (with everifV1 = Everif(d1,m1,v1)):
+// verification, given the last disk checkpoint at d1 and the last memory
+// checkpoint at m1, with everifV1 = Everif(d1,m1,v1):
 //
 //	E = e^{ls W} ((e^{lf W}-1)/lf + V*)
 //	  + e^{ls W} (e^{lf W}-1) (R_D + Emem(d1,m1))
 //	  + (e^{(ls+lf) W}-1) Everif(d1,m1,v1)
 //	  + (e^{ls W}-1) R_M
-func (s *solver) eSegment(d1, m1, v1, v2 int, ememVal, everifV1 float64) float64 {
+//
+// The callers hoist the (d1,m1) invariants: rdE = R_D(d1) + Emem(d1,m1)
+// and rmM1 = R_M(m1), each computed by the same operations the formula
+// spells out, so hoisting never changes a bit.
+func (s *solver) eSegment(v1, v2 int, rdE, rmM1, everifV1 float64) float64 {
 	k := s.idx(v1, v2)
-	return s.sInt[k] + (s.sM1[k]+1)*s.vstarAt(v2) +
-		s.sFm1[k]*(s.rd(d1)+ememVal) +
-		s.fsM1[k]*everifV1 +
-		s.sM1[k]*s.rm(m1)
+	return segmentCost(s.sInt[k], s.sM1[k], s.sFm1[k], s.fsM1[k], s.vstarAt(v2), rdE, everifV1, rmM1)
 }
 
 // eMinus implements E^-(d1,m1,v1,p1,p2,v2) of Section III-B: the expected
 // time for the sub-interval T_{p1+1..p2} between two partial
 // verifications, with the left re-execution term Eleft removed (it is
 // re-injected by the e^{(ls+lf)W_{p2,v2}} multiplier in epartial) and the
-// silent-error branch split by the recall into a detected part (R_M) and
-// an undetected part (erightP2 = Eright(d1,m1,v1,p2,v2)).
-func (s *solver) eMinus(d1, m1, p1, p2 int, ememVal, everifV1, erightP2 float64) float64 {
+// silent-error branch split by the recall into a detected part (gRm =
+// (1-g) R_M(m1)) and an undetected part (erightP2 = Eright(d1,m1,v1,p2,v2)).
+// rdE is R_D(d1) + Emem(d1,m1), as in eSegment.
+func (s *solver) eMinus(p1, p2 int, rdE, gRm, everifV1, erightP2 float64) float64 {
 	k := s.idx(p1, p2)
-	return s.sInt[k] + (s.sM1[k]+1)*s.vAt(p2) +
-		s.sFm1[k]*(s.rd(d1)+ememVal) +
-		s.fsM1[k]*everifV1 +
-		s.sM1[k]*((1-s.g)*s.rm(m1)+s.g*erightP2)
+	return segmentCost(s.sInt[k], s.sM1[k], s.sFm1[k], s.fsM1[k], s.vAt(p2), rdE, everifV1, gRm+s.g*erightP2)
 }
 
 // eRightStep advances the Eright recurrence by one sub-interval: the
 // expected time lost executing T_{p1+1..p2} while an undetected silent
 // error is latent, where erightP2 is Eright at the next verification.
-func (s *solver) eRightStep(d1, m1, p1, p2 int, ememVal, erightP2 float64) float64 {
+// rdE and gRm are as in eMinus; (1-pf) W is recomputed from the prefix
+// weights by the same operations buildTables uses for pf's argument.
+func (s *solver) eRightStep(p1, p2 int, rdE, gRm, erightP2 float64) float64 {
 	k := s.idx(p1, p2)
-	return s.pfTl[k] + s.pf[k]*(s.rd(d1)+ememVal) +
-		s.pnW[k] + (1-s.pf[k])*(s.vAt(p2)+(1-s.g)*s.rm(m1)+s.g*erightP2)
+	return s.pfTl[k] + s.pf[k]*rdE +
+		(1-s.pf[k])*(s.pre[p2]-s.pre[p1]) + (1-s.pf[k])*(s.vAt(p2)+gRm+s.g*erightP2)
 }
 
 // partialScratch holds the per-goroutine O(n) working arrays of the
@@ -298,18 +306,27 @@ func newPartialScratch(n int) *partialScratch {
 // left to right, so the table is filled from the right (p1 = v2-1 down to
 // v1); Eright at p1 uses the argmin p2 selected by Epartial at p1, which
 // is why both arrays are maintained together. After the call, sc.next
-// holds the optimal chain: v1 -> sc.next[v1] -> ... -> v2.
-func (s *solver) epartial(sc *partialScratch, d1, m1, v1, v2 int, ememVal, everifV1 float64) float64 {
-	sc.er[v2] = s.rm(m1)
+// holds the optimal chain: v1 -> sc.next[v1] -> ... -> v2. rdE is
+// R_D(d1) + Emem(d1,m1), as in eSegment.
+func (s *solver) epartial(sc *partialScratch, m1, v1, v2 int, rdE, everifV1 float64) float64 {
+	rmM1 := s.rm(m1)
+	gRm := (1 - s.g) * rmM1
+	sc.er[v2] = rmM1
 	vGap := s.vstarAt(v2) - s.vAt(v2)
+	stride := s.n + 1
 	for p1 := v2 - 1; p1 >= v1; p1-- {
 		best := math.Inf(1)
 		bestP2 := v2
+		// Row p1 of the segment tables, indexed by p2 and read left to
+		// right.
+		row := p1 * stride
+		sInt, sM1 := s.sInt[row:row+v2+1], s.sM1[row:row+v2+1]
+		sFm1, fsM1 := s.sFm1[row:row+v2+1], s.fsM1[row:row+v2+1]
 		for p2 := p1 + 1; p2 <= v2; p2++ {
 			if p2 != v2 && !s.mayPartial(p2) {
 				continue
 			}
-			em := s.eMinus(d1, m1, p1, p2, ememVal, everifV1, sc.er[p2])
+			em := segmentCost(sInt[p2], sM1[p2], sFm1[p2], fsM1[p2], s.vAt(p2), rdE, everifV1, gRm+s.g*sc.er[p2])
 			var cand float64
 			if p2 == v2 {
 				// Base case: the interval is closed by the guaranteed
@@ -319,7 +336,7 @@ func (s *solver) epartial(sc *partialScratch, d1, m1, v1, v2 int, ememVal, everi
 				// contradicts its own Equation (4): with e^{ls W} a segment
 				// with no partial verifications reduces exactly to the
 				// Section III-A closed form. See DESIGN.md.)
-				cand = em + (s.sM1[s.idx(p1, v2)]+1)*vGap
+				cand = em + (sM1[v2]+1)*vGap
 			} else {
 				// The interval T_{p1+1..p2} is re-executed
 				// e^{(ls+lf)W_{p2,v2}} times in total due to errors
@@ -332,7 +349,7 @@ func (s *solver) epartial(sc *partialScratch, d1, m1, v1, v2 int, ememVal, everi
 		}
 		sc.ep[p1] = best
 		sc.next[p1] = bestP2
-		sc.er[p1] = s.eRightStep(d1, m1, p1, bestP2, ememVal, sc.er[bestP2])
+		sc.er[p1] = s.eRightStep(p1, bestP2, rdE, gRm, sc.er[bestP2])
 	}
 	return sc.ep[v1]
 }
@@ -341,66 +358,98 @@ func (s *solver) epartial(sc *partialScratch, d1, m1, v1, v2 int, ememVal, everi
 // (paper Equation (1)), optionally recording the argmin v1 into arg. For
 // ADMV the per-segment expectation comes from epartial, otherwise from
 // the closed form of Equation (4).
+//
+// Both forms hand every target v2 its candidates in ascending v1 order,
+// starting from +Inf and kept only on a strict '<', so they select the
+// same argmin and the same bits. The closed form runs in push form: once
+// ev[v1] is final (every v1' < v1 has pushed), v1 relaxes ev[v1+1..n]
+// along row v1 of the segment tables, which is contiguous in memory.
+// ADMV keeps the pull form, one target v2 at a time: successive
+// epartial(·, v2) calls re-read column v2 of the tables while it is
+// still in cache, and pushing measured 0-30% slower at n = 16..22.
 func (s *solver) verifRow(d1, m1 int, ememVal float64, sc *partialScratch, ev []float64, arg []int) {
+	n := s.n
+	rdE := s.rd(d1) + ememVal
 	ev[m1] = 0
 	if arg != nil {
 		arg[m1] = m1
 	}
-	for v2 := m1 + 1; v2 <= s.n; v2++ {
-		best := math.Inf(1)
-		bi := -1
-		for v1 := m1; v1 < v2; v1++ {
-			if v1 != m1 && !s.mayGuaranteed(v1) {
-				continue
+	if s.alg == AlgADMV {
+		for v2 := m1 + 1; v2 <= n; v2++ {
+			best := math.Inf(1)
+			bi := -1
+			for v1 := m1; v1 < v2; v1++ {
+				if v1 != m1 && !s.mayGuaranteed(v1) {
+					continue
+				}
+				if cand := ev[v1] + s.epartial(sc, m1, v1, v2, rdE, ev[v1]); cand < best {
+					best, bi = cand, v1
+				}
 			}
-			var seg float64
-			if s.alg == AlgADMV {
-				seg = s.epartial(sc, d1, m1, v1, v2, ememVal, ev[v1])
-			} else {
-				seg = s.eSegment(d1, m1, v1, v2, ememVal, ev[v1])
-			}
-			if cand := ev[v1] + seg; cand < best {
-				best, bi = cand, v1
+			ev[v2] = best
+			if arg != nil {
+				arg[v2] = bi
 			}
 		}
-		ev[v2] = best
+		return
+	}
+	rmM1 := s.rm(m1)
+	for v2 := m1 + 1; v2 <= n; v2++ {
+		ev[v2] = math.Inf(1)
 		if arg != nil {
-			arg[v2] = bi
+			arg[v2] = -1
+		}
+	}
+	for v1 := m1; v1 < n; v1++ {
+		if v1 != m1 && !s.mayGuaranteed(v1) {
+			continue
+		}
+		e := ev[v1]
+		// Row v1 of the segment tables, from column v1+1 on.
+		lo, hi := s.idx(v1, v1+1), s.idx(v1, n)+1
+		sInt, sM1, sFm1, fsM1 := s.sInt[lo:hi], s.sM1[lo:hi], s.sFm1[lo:hi], s.fsM1[lo:hi]
+		for j := range sInt {
+			v2 := v1 + 1 + j
+			seg := segmentCost(sInt[j], sM1[j], sFm1[j], fsM1[j], s.vstarAt(v2), rdE, e, rmM1)
+			if cand := e + seg; cand < ev[v2] {
+				ev[v2] = cand
+				if arg != nil {
+					arg[v2] = v1
+				}
+			}
 		}
 	}
 }
 
 // memLevel computes Emem(d1,m2) for every m2 in [d1, n] into emem, with
-// argmins into mprev. For ADV* the only admissible memory checkpoint
-// position between two disk checkpoints is d1 itself, which restricts the
-// inner minimization to m1 = d1 and recovers the single-level algorithm.
+// argmins into mprev. It runs in push form, like verifRow's closed form:
+// each admissible memory position m1, ascending, builds its verification
+// row once emem[m1] is final and relaxes emem[m1+1..n] with it, so every
+// target sees its candidates in ascending m1 order and one row buffer
+// serves the whole level. For ADV* the only admissible memory checkpoint
+// position between two disk checkpoints is d1 itself, which restricts
+// the minimization to m1 = d1 and recovers the single-level algorithm.
 func (s *solver) memLevel(d1 int, emem []float64, mprev []int) {
-	ms := s.sc.getMem(s.n, s.alg == AlgADMV)
+	n := s.n
+	ms := s.sc.getMem(n, s.alg == AlgADMV)
 	defer s.sc.putMem(ms)
-	sc := ms.partial
-	rows := ms.rows[: s.n+1 : s.n+1]
-	clear(rows)
-	stride := s.n + 1
+	row := ms.row[: n+1 : n+1]
 	emem[d1] = 0
 	mprev[d1] = d1
-	for m1 := d1; m1 <= s.n; m1++ {
-		if m1 > d1 {
-			best := math.Inf(1)
-			bi := -1
-			for mp := d1; mp < m1; mp++ {
-				if rows[mp] == nil {
-					continue // ADV*: only mp == d1 has a row
-				}
-				if cand := emem[mp] + rows[mp][m1] + s.cmAt(m1); cand < best {
-					best, bi = cand, mp
-				}
-			}
-			emem[m1], mprev[m1] = best, bi
+	for m := d1 + 1; m <= n; m++ {
+		emem[m] = math.Inf(1)
+		mprev[m] = -1
+	}
+	for m1 := d1; m1 < n; m1++ {
+		if m1 != d1 && (s.alg == AlgADV || !s.mayMemory(m1)) {
+			continue
 		}
-		if m1 < s.n && (s.alg != AlgADV || m1 == d1) && (m1 == d1 || s.mayMemory(m1)) {
-			row := ms.rowBuf[m1*stride : (m1+1)*stride : (m1+1)*stride]
-			s.verifRow(d1, m1, emem[m1], sc, row, nil)
-			rows[m1] = row
+		e := emem[m1]
+		s.verifRow(d1, m1, e, ms.partial, row, nil)
+		for m2 := m1 + 1; m2 <= n; m2++ {
+			if cand := e + row[m2] + s.cmAt(m2); cand < emem[m2] {
+				emem[m2], mprev[m2] = cand, m1
+			}
 		}
 	}
 }
@@ -451,21 +500,33 @@ func (s *solver) memLevelOrder() []int {
 	return order
 }
 
-// diskCell fills edisk[d2][k] as the strict-< argmin over predecessor
-// disk positions d1 of edisk[d1][k-1] + Emem(d1,d2) + C_D(d2), scanning
-// d1 ascending.
-func (s *solver) diskCell(edisk [][]float64, diskPrev [][]int, ememAll [][]float64, d2, k int) {
-	best := math.Inf(1)
-	bi := -1
-	for d1 := 0; d1 < d2; d1++ {
-		if ememAll[d1] == nil {
-			continue // boundary may not carry a disk checkpoint
+// diskPush relaxes level k of the disk recurrence into the targets d2
+// in [lo, hi): Edisk(k, d2) is the strict-< argmin over predecessor disk
+// positions d1 < d2 of Edisk(k-1, d1) + Emem(d1,d2) + C_D(d2). Each
+// predecessor, ascending, pushes along row d1 of the emem arena and row
+// k of the disk arena, both contiguous, so every target sees its
+// candidates in the same ascending order a per-target scan would.
+// Predecessors with Edisk(k-1, d1) = +Inf are skipped: their candidates
+// could never win a strict '<'. No path of k-1 checkpoints reaches
+// d1 < k-1, and forbidden disk positions are never reached at all, so
+// level k costs about (n-k)^2/2 and the whole level about n^3/6.
+func (s *solver) diskPush(edisk [][]float64, diskPrev [][]int, ememAll [][]float64, k, lo, hi int) {
+	from, to, arg := edisk[k-1], edisk[k][:hi], diskPrev[k][:hi]
+	for d1 := 0; d1 < hi-1; d1++ {
+		e := from[d1]
+		if math.IsInf(e, 1) {
+			continue
 		}
-		if cand := edisk[d1][k-1] + ememAll[d1][d2] + s.cdAt(d2); cand < best {
-			best, bi = cand, d1
+		emem := ememAll[d1][:hi]
+		for d2 := max(lo, d1+1); d2 < hi; d2++ {
+			if !s.mayDisk(d2) {
+				continue
+			}
+			if cand := e + emem[d2] + s.cdAt(d2); cand < to[d2] {
+				to[d2], arg[d2] = cand, d1
+			}
 		}
 	}
-	edisk[d2][k], diskPrev[d2][k] = best, bi
 }
 
 // run executes the full three-level dynamic program and reconstructs the
@@ -524,41 +585,36 @@ func (s *solver) run() (*Result, error) {
 
 	// Level 1: place disk checkpoints. The extra dimension k counts the
 	// disk checkpoints used so far, bounding them by the budget; with the
-	// default budget of n the dimension is exact but harmless (the level
-	// is quadratic either way and far off the critical path).
+	// default budget of n the dimension is exact but costs a factor of
+	// about n/3 over the unbounded recurrence (see diskPush).
 	K := s.maxDisk
-	edisk := dp.edskHdr[: n+1 : n+1] // edisk[d2][k], k checkpoints in 1..d2
-	diskPrev := dp.dprvHdr[: n+1 : n+1]
-	for d2 := 0; d2 <= n; d2++ {
-		edisk[d2] = dp.edskBuf[d2*(K+1) : (d2+1)*(K+1) : (d2+1)*(K+1)]
-		diskPrev[d2] = dp.dprvBuf[d2*(K+1) : (d2+1)*(K+1) : (d2+1)*(K+1)]
-		for k := range edisk[d2] {
-			edisk[d2][k] = math.Inf(1)
-			diskPrev[d2][k] = -1
+	edisk := dp.edskHdr[: K+1 : K+1] // edisk[k][d2], k checkpoints in 1..d2
+	diskPrev := dp.dprvHdr[: K+1 : K+1]
+	for k := 0; k <= K; k++ {
+		edisk[k] = dp.edskBuf[k*stride : (k+1)*stride : (k+1)*stride]
+		diskPrev[k] = dp.dprvBuf[k*stride : (k+1)*stride : (k+1)*stride]
+		for d2 := range edisk[k] {
+			edisk[k][d2] = math.Inf(1)
+			diskPrev[k][d2] = -1
 		}
 	}
 	edisk[0][0] = 0
-	// diskCell fills edisk[d2][k] from column k-1; the inner scan is the
-	// same ascending strict-< argmin under both schedules below, so the
-	// serial and tiled orders compute bit-identical entries. It is a
-	// method rather than a shared closure so the serial branch never
-	// materializes a heap-escaping closure (see row above).
+	// Level k reads only level k-1, so the levels run in order and the
+	// targets of one level are independent. diskPush is a method rather
+	// than a shared closure so the serial branch never materializes a
+	// heap-escaping closure (see row above).
 	if workers <= 1 {
-		for d2 := 1; d2 <= n; d2++ {
-			if !s.mayDisk(d2) {
-				continue
-			}
-			for k := 1; k <= K; k++ {
-				s.diskCell(edisk, diskPrev, ememAll, d2, k)
-			}
+		for k := 1; k <= K; k++ {
+			s.diskPush(edisk, diskPrev, ememAll, k, 1, n+1)
 		}
 	} else {
-		// Anti-diagonal scheduling for the interval recurrence: cell
-		// (d2,k) reads only column k-1, so each k-level is a bag of
-		// independent d2 tiles with a barrier between levels. The tile
-		// space is the dense list of admissible positions — forbidden
-		// boundaries are compacted out up front instead of claimed and
-		// skipped.
+		// Each k-level is a bag of independent d2 tiles with a barrier
+		// between levels; a tile pushes every predecessor into its own
+		// d2 range only, in the same ascending order as the serial
+		// push, so the tiled level is bit-identical to the serial one.
+		// The tile space is the dense list of admissible positions —
+		// forbidden boundaries are compacted out up front instead of
+		// claimed and skipped.
 		allowed := make([]int, 0, n)
 		for d2 := 1; d2 <= n; d2++ {
 			if s.mayDisk(d2) {
@@ -569,9 +625,7 @@ func (s *solver) run() (*Result, error) {
 		for k := 1; k <= K; k++ {
 			s.k.team.run(workers, blocks, func(b int) {
 				lo, hi := tileSpan(len(allowed), blocks, b)
-				for i := lo; i < hi; i++ {
-					s.diskCell(edisk, diskPrev, ememAll, allowed[i], k)
-				}
+				s.diskPush(edisk, diskPrev, ememAll, k, allowed[lo], allowed[hi-1]+1)
 			})
 		}
 	}
@@ -580,8 +634,8 @@ func (s *solver) run() (*Result, error) {
 	bestK := -1
 	bestV := math.Inf(1)
 	for k := 1; k <= K; k++ {
-		if edisk[n][k] < bestV {
-			bestV, bestK = edisk[n][k], k
+		if edisk[k][n] < bestV {
+			bestV, bestK = edisk[k][n], k
 		}
 	}
 	if bestK < 0 {
