@@ -22,6 +22,10 @@
 // within each run, not absolute ns/op, so a baseline recorded on one
 // machine still gates a run on different hardware; benchmark names are
 // matched with the GOMAXPROCS "-N" suffix stripped for the same reason.
+//
+// A benchmark repeated with -count N appears once in the report, with
+// the median of its N ns/op, B/op and allocs/op values, so one noisy
+// repeat can neither fail the gate nor land in a committed baseline.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -115,6 +120,49 @@ func parse(r io.Reader) (*Report, error) {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found in input")
 	}
 	return rep, nil
+}
+
+// medianRepeats collapses repeated results of one benchmark (go test
+// -count N prints each name N times) into a single entry at the
+// position of its first occurrence, whose ns/op, B/op and allocs/op are
+// the medians over the repeats; its runs and custom metrics are those
+// of the first repeat.
+func medianRepeats(benches []Benchmark) []Benchmark {
+	type key struct{ pkg, name string }
+	groups := map[key][]Benchmark{}
+	var out []Benchmark
+	for _, b := range benches {
+		k := key{b.Package, b.Name}
+		if _, seen := groups[k]; !seen {
+			out = append(out, b)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	for i, b := range out {
+		g := groups[key{b.Package, b.Name}]
+		if len(g) == 1 {
+			continue
+		}
+		out[i].NsPerOp = median(g, func(b Benchmark) float64 { return b.NsPerOp })
+		out[i].BytesPerOp = median(g, func(b Benchmark) float64 { return b.BytesPerOp })
+		out[i].AllocsPerOp = median(g, func(b Benchmark) float64 { return b.AllocsPerOp })
+	}
+	return out
+}
+
+// median returns the median of one field over a non-empty group: the
+// middle value, or the mean of the two middle values for an even count.
+func median(g []Benchmark, field func(Benchmark) float64) float64 {
+	v := make([]float64, len(g))
+	for i, b := range g {
+		v[i] = field(b)
+	}
+	slices.Sort(v)
+	m := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[m]
+	}
+	return (v[m-1] + v[m]) / 2
 }
 
 // trimCPUSuffix strips the "-N" GOMAXPROCS suffix go test appends to
@@ -326,6 +374,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	rep.Benchmarks = medianRepeats(rep.Benchmarks)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -178,3 +178,50 @@ func TestCheckRegressionContentionRatio(t *testing.T) {
 		t.Errorf("gate invented a baseline: %v", p)
 	}
 }
+
+func TestMedianRepeats(t *testing.T) {
+	got := medianRepeats([]Benchmark{
+		{Package: "p", Name: "BenchmarkA", Runs: 10, NsPerOp: 300, AllocsPerOp: 5},
+		{Package: "p", Name: "BenchmarkB", Runs: 7, NsPerOp: 50},
+		{Package: "p", Name: "BenchmarkA", Runs: 11, NsPerOp: 100, AllocsPerOp: 9},
+		{Package: "q", Name: "BenchmarkA", Runs: 1, NsPerOp: 1},
+		{Package: "p", Name: "BenchmarkA", Runs: 12, NsPerOp: 200, AllocsPerOp: 5},
+		{Package: "p", Name: "BenchmarkB", Runs: 8, NsPerOp: 70},
+	})
+	want := []Benchmark{
+		{Package: "p", Name: "BenchmarkA", Runs: 10, NsPerOp: 200, AllocsPerOp: 5},
+		{Package: "p", Name: "BenchmarkB", Runs: 7, NsPerOp: 60},
+		{Package: "q", Name: "BenchmarkA", Runs: 1, NsPerOp: 1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i].Package != want[i].Package || got[i].Name != want[i].Name || got[i].Runs != want[i].Runs ||
+			got[i].NsPerOp != want[i].NsPerOp || got[i].AllocsPerOp != want[i].AllocsPerOp {
+			t.Errorf("entry %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestContentionGateUsesMedian is the -count 5 contention run: one
+// outlier repeat of the sharded lane would fail the gate on its own,
+// but the median of the five keeps the ratio at the baseline's.
+func TestContentionGateUsesMedian(t *testing.T) {
+	base := report(
+		Benchmark{Name: "BenchmarkEngineContention/single/g16", NsPerOp: 400},
+		Benchmark{Name: "BenchmarkEngineContention/sharded/g16", NsPerOp: 100},
+	)
+	var run []Benchmark
+	for _, sharded := range []float64{100, 98, 250, 102, 101} {
+		run = append(run,
+			Benchmark{Name: "BenchmarkEngineContention/single/g16-2", NsPerOp: 400},
+			Benchmark{Name: "BenchmarkEngineContention/sharded/g16-2", NsPerOp: sharded})
+	}
+	if p := checkRegression(report(run[4:6]...), base, 0.15); len(p) != 1 {
+		t.Fatalf("the outlier repeat alone should fail the gate: %v", p)
+	}
+	if p := checkRegression(report(medianRepeats(run)...), base, 0.15); len(p) != 0 {
+		t.Errorf("median of the repeats flagged: %v", p)
+	}
+}
