@@ -366,7 +366,7 @@ func (s *solver) epartial(sc *partialScratch, m1, v1, v2 int, rdE, everifV1 floa
 // along row v1 of the segment tables, which is contiguous in memory.
 // ADMV keeps the pull form, one target v2 at a time: successive
 // epartial(·, v2) calls re-read column v2 of the tables while it is
-// still in cache, and pushing measured 0-30% slower at n = 16..22.
+// still in cache, and pushing measured 0-25% slower at n = 16 and 22.
 func (s *solver) verifRow(d1, m1 int, ememVal float64, sc *partialScratch, ev []float64, arg []int) {
 	n := s.n
 	rdE := s.rd(d1) + ememVal
