@@ -140,9 +140,6 @@ func medianRepeats(benches []Benchmark) []Benchmark {
 	}
 	for i, b := range out {
 		g := groups[key{b.Package, b.Name}]
-		if len(g) == 1 {
-			continue
-		}
 		out[i].NsPerOp = median(g, func(b Benchmark) float64 { return b.NsPerOp })
 		out[i].BytesPerOp = median(g, func(b Benchmark) float64 { return b.BytesPerOp })
 		out[i].AllocsPerOp = median(g, func(b Benchmark) float64 { return b.AllocsPerOp })

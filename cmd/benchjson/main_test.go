@@ -203,25 +203,3 @@ func TestMedianRepeats(t *testing.T) {
 		}
 	}
 }
-
-// TestContentionGateUsesMedian is the -count 5 contention run: one
-// outlier repeat of the sharded lane would fail the gate on its own,
-// but the median of the five keeps the ratio at the baseline's.
-func TestContentionGateUsesMedian(t *testing.T) {
-	base := report(
-		Benchmark{Name: "BenchmarkEngineContention/single/g16", NsPerOp: 400},
-		Benchmark{Name: "BenchmarkEngineContention/sharded/g16", NsPerOp: 100},
-	)
-	var run []Benchmark
-	for _, sharded := range []float64{100, 98, 250, 102, 101} {
-		run = append(run,
-			Benchmark{Name: "BenchmarkEngineContention/single/g16-2", NsPerOp: 400},
-			Benchmark{Name: "BenchmarkEngineContention/sharded/g16-2", NsPerOp: sharded})
-	}
-	if p := checkRegression(report(run[4:6]...), base, 0.15); len(p) != 1 {
-		t.Fatalf("the outlier repeat alone should fail the gate: %v", p)
-	}
-	if p := checkRegression(report(medianRepeats(run)...), base, 0.15); len(p) != 0 {
-		t.Errorf("median of the repeats flagged: %v", p)
-	}
-}
