@@ -1,3 +1,10 @@
+//go:build amd64 && !amd64.v3
+
+// The digests pin exact float64 bits recorded on amd64 at the default
+// GOAMD64=v1. The Go spec lets a compiler fuse x*y+z into one FMA, and
+// it does so on arm64, ppc64le, s390x, riscv64 and amd64 at v3 and up,
+// which can move the last bit of a makespan; those builds skip the file.
+
 package core
 
 import (

@@ -278,10 +278,13 @@ func (s *solver) eMinus(p1, p2 int, rdE, gRm, everifV1, erightP2 float64) float6
 // error is latent, where erightP2 is Eright at the next verification.
 // rdE and gRm are as in eMinus; (1-pf) W is recomputed from the prefix
 // weights by the same operations buildTables uses for pf's argument.
+// The explicit float64 conversion rounds that product on its own, as
+// storing it in a table did, so no target may fuse it into the
+// following add as an FMA.
 func (s *solver) eRightStep(p1, p2 int, rdE, gRm, erightP2 float64) float64 {
 	k := s.idx(p1, p2)
 	return s.pfTl[k] + s.pf[k]*rdE +
-		(1-s.pf[k])*(s.pre[p2]-s.pre[p1]) + (1-s.pf[k])*(s.vAt(p2)+gRm+s.g*erightP2)
+		float64((1-s.pf[k])*(s.pre[p2]-s.pre[p1])) + (1-s.pf[k])*(s.vAt(p2)+gRm+s.g*erightP2)
 }
 
 // partialScratch holds the per-goroutine O(n) working arrays of the
@@ -612,20 +615,13 @@ func (s *solver) run() (*Result, error) {
 		// between levels; a tile pushes every predecessor into its own
 		// d2 range only, in the same ascending order as the serial
 		// push, so the tiled level is bit-identical to the serial one.
-		// The tile space is the dense list of admissible positions —
-		// forbidden boundaries are compacted out up front instead of
-		// claimed and skipped.
-		allowed := make([]int, 0, n)
-		for d2 := 1; d2 <= n; d2++ {
-			if s.mayDisk(d2) {
-				allowed = append(allowed, d2)
-			}
-		}
-		blocks := tileCount(len(allowed), workers)
+		// Tiles cut the raw range 1..n; diskPush skips forbidden
+		// positions itself.
+		blocks := tileCount(n, workers)
 		for k := 1; k <= K; k++ {
 			s.k.team.run(workers, blocks, func(b int) {
-				lo, hi := tileSpan(len(allowed), blocks, b)
-				s.diskPush(edisk, diskPrev, ememAll, k, allowed[lo], allowed[hi-1]+1)
+				lo, hi := tileSpan(n, blocks, b)
+				s.diskPush(edisk, diskPrev, ememAll, k, lo+1, hi+1)
 			})
 		}
 	}
