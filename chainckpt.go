@@ -322,18 +322,15 @@ func Simulate(c *Chain, p Platform, s *Schedule, opts SimOptions) (*SimResult, e
 	return sim.Run(c, p, s, opts)
 }
 
-// Engine is a concurrent batch planner, sharded for contention-free
-// scale: requests route by canonical instance fingerprint to one of N
-// shards, each owning its own solver kernel, LRU memo, singleflight
-// table and worker slice, so heavy parallel traffic never serializes on
-// a single memo mutex while results stay byte-identical to a one-shard
-// engine. Use it when serving many plan requests (cmd/chainserve) or
-// sweeping many instances (internal/experiments); see internal/engine.
+// Engine is a concurrent batch planner: one worker pool solves cache
+// misses on one solver kernel, and one LRU memo keyed by canonical
+// instance fingerprint serves repeats and coalesces identical in-flight
+// requests onto one solve. Use it when serving many plan requests
+// (cmd/chainserve) or sweeping many instances (internal/experiments);
+// see internal/engine.
 type Engine = engine.Engine
 
-// EngineOptions sizes an Engine's worker pool, plan memo and shard
-// count (EngineOptions.Shards; default min(GOMAXPROCS, Workers), an
-// explicit value rounded up to a power of two).
+// EngineOptions sizes an Engine's worker pool and plan memo.
 type EngineOptions = engine.Options
 
 // PlanRequest is one planning job submitted to an Engine.
@@ -343,13 +340,8 @@ type PlanRequest = engine.Request
 // index, the result or error, and whether the memo served it.
 type PlanResponse = engine.Response
 
-// EngineStats is a snapshot of an Engine's request and cache counters,
-// aggregated across shards; EngineStats.Shards carries the per-shard
-// breakdown.
+// EngineStats is a snapshot of an Engine's request and cache counters.
 type EngineStats = engine.Stats
-
-// EngineShardStats is one shard's slice of an Engine's counters.
-type EngineShardStats = engine.ShardStats
 
 // NewEngine starts a batch planning engine; Close it to release its
 // workers.
@@ -477,7 +469,7 @@ func NewTracer(keep int) *Tracer { return obs.NewTracer(keep) }
 
 // EngineMetrics and RuntimeMetrics are the per-layer metric bundles:
 // pass them via EngineOptions.Metrics / SupervisorOptions.Metrics to
-// fill per-shard queue-wait and solve-latency histograms, and task /
+// fill the engine's queue-wait and solve-latency histograms, and task /
 // verification / checkpoint-commit / recovery timings, on reg.
 type EngineMetrics = engine.Metrics
 type RuntimeMetrics = runtime.Metrics

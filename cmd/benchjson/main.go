@@ -14,14 +14,13 @@
 //
 // With -baseline FILE, benchjson additionally gates the run against a
 // committed report (the CI bench-regression step): it exits non-zero
-// when the warm-kernel allocation counts (BenchmarkKernelPlan/*
-// allocs/op) or the sharded-engine contention advantage
-// (BenchmarkEngineContention single/gN over sharded/gN ns/op) regress
-// more than -tolerance (default 15%) versus the baseline. The
-// contention check compares the single/sharded throughput *ratio*
-// within each run, not absolute ns/op, so a baseline recorded on one
-// machine still gates a run on different hardware; benchmark names are
-// matched with the GOMAXPROCS "-N" suffix stripped for the same reason.
+// when the pooled-solve allocation counts or the in-kernel w1/w4
+// parallel speedups regress more than -tolerance (default 15%) versus
+// the baseline. The speedup check compares the serial/team ratio within
+// each run, not absolute ns/op, and benchmark names are matched with
+// the GOMAXPROCS "-N" suffix stripped; a speedup is bounded by the core
+// count, so the committed 2-vCPU baseline gates only runs on at least
+// 2 CPUs.
 //
 // A benchmark repeated with -count N appears once in the report, with
 // the median of its N ns/op, B/op and allocs/op values, so one noisy
@@ -205,27 +204,14 @@ func lookup(idx map[string]Benchmark, name string) (Benchmark, bool) {
 	return b, ok
 }
 
-// contentionRatio returns the single-shard/sharded ns-per-op ratio of
-// BenchmarkEngineContention at one goroutine-count label (the run's
-// measured sharding speedup — machine-relative, hence comparable across
-// reports recorded on different hardware).
-func contentionRatio(idx map[string]Benchmark, gLabel string) (float64, bool) {
-	single, ok1 := lookup(idx, "BenchmarkEngineContention/single/"+gLabel)
-	sharded, ok2 := lookup(idx, "BenchmarkEngineContention/sharded/"+gLabel)
-	if !ok1 || !ok2 || single.NsPerOp <= 0 || sharded.NsPerOp <= 0 {
-		return 0, false
-	}
-	return single.NsPerOp / sharded.NsPerOp, true
-}
-
 // parallelSpeedup returns the serial/team ns-per-op ratio of one
 // kernel solve benchmark family (BenchmarkKernelParallelSolve or
 // BenchmarkKernelStealSolve) at one shape label — "n2000", or the
 // "skew" lane of the steal bench: the run's measured in-kernel parallel
-// speedup. Unlike the contention ratio it is bounded by the core count
-// of the machine that ran it, so a baseline recorded with N CPUs gates
-// only runs with at least N: a 1-CPU run of the committed 2-vCPU
-// baseline measures ~1.0 against a ~1.8 recording and fails.
+// speedup. It is bounded by the core count of the machine that ran it,
+// so a baseline recorded with N CPUs gates only runs with at least N: a
+// 1-CPU run of the committed 2-vCPU baseline measures ~1.0 against a
+// ~1.8 recording and fails.
 func parallelSpeedup(idx map[string]Benchmark, bench, shapeLabel, wLabel string) (float64, bool) {
 	serial, ok1 := lookup(idx, bench+"/"+shapeLabel+"/w1")
 	team, ok2 := lookup(idx, bench+"/"+shapeLabel+"/"+wLabel)
@@ -307,31 +293,12 @@ func checkRegression(cur, base *Report, tol float64) []string {
 		}
 	}
 
-	// The contention advantage is a within-run ratio, robust to the
-	// baseline and the current run living on different hardware.
 	baseIdx := indexByName(base)
-	for _, g := range []string{"g1", "g4", "g16", "g64"} {
-		baseRatio, ok := contentionRatio(baseIdx, g)
-		if !ok {
-			continue
-		}
-		curRatio, ok := contentionRatio(curIdx, g)
-		if !ok {
-			problems = append(problems, fmt.Sprintf(
-				"BenchmarkEngineContention %s: present in baseline but missing from this run", g))
-			continue
-		}
-		if curRatio < baseRatio*(1-tol) {
-			problems = append(problems, fmt.Sprintf(
-				"BenchmarkEngineContention %s: single/sharded throughput ratio %.2f vs baseline %.2f (>%.0f%% regression)",
-				g, curRatio, baseRatio, 100*tol))
-		}
-	}
-
 	// The in-kernel parallel speedup at the largest benched chain of
 	// each solve family — the shared-cursor curve, the steal-scheduler
-	// curve, and the steal bench's adversarial skew lane — same
-	// within-run-ratio scheme as the contention gate.
+	// curve, and the steal bench's adversarial skew lane — a within-run
+	// ratio, robust to the baseline and the current run living on
+	// different hardware.
 	for _, bench := range []string{"BenchmarkKernelParallelSolve", "BenchmarkKernelStealSolve"} {
 		labels := make([]string, 0, 2)
 		if nLabel, ok := largestParallelN(base, bench); ok {

@@ -57,7 +57,7 @@ func TestTrimCPUSuffix(t *testing.T) {
 		{"BenchmarkKernelPlan/ADMVStar-50", "BenchmarkKernelPlan/ADMVStar"}, // one trim step; lookup tries raw first
 		{"BenchmarkReplanSuffix-8", "BenchmarkReplanSuffix"},
 		{"BenchmarkReplanSuffix", "BenchmarkReplanSuffix"},
-		{"BenchmarkEngineContention/sharded/g16-4", "BenchmarkEngineContention/sharded/g16"},
+		{"BenchmarkKernelStealSolve/skew/w4-4", "BenchmarkKernelStealSolve/skew/w4"},
 		{"BenchmarkFoo-", "BenchmarkFoo-"},
 	} {
 		if got := trimCPUSuffix(tc.in); got != tc.want {
@@ -145,37 +145,6 @@ func TestCheckRegressionStealSpeedup(t *testing.T) {
 	)
 	if p := checkRegression(badAllocs, base, 0.15); len(p) != 1 {
 		t.Errorf("steal serial-lane alloc regression not flagged: %v", p)
-	}
-}
-
-func TestCheckRegressionContentionRatio(t *testing.T) {
-	base := report(
-		Benchmark{Name: "BenchmarkEngineContention/single/g16", NsPerOp: 400},
-		Benchmark{Name: "BenchmarkEngineContention/sharded/g16", NsPerOp: 100}, // baseline speedup 4x
-	)
-	// Different absolute speeds, same ratio: fine across machines.
-	ok := report(
-		Benchmark{Name: "BenchmarkEngineContention/single/g16-4", NsPerOp: 4000},
-		Benchmark{Name: "BenchmarkEngineContention/sharded/g16-4", NsPerOp: 1000},
-	)
-	if p := checkRegression(ok, base, 0.15); len(p) != 0 {
-		t.Errorf("unexpected regression: %v", p)
-	}
-	// Ratio collapsed to 2x: a >15% regression of the sharding win.
-	bad := report(
-		Benchmark{Name: "BenchmarkEngineContention/single/g16", NsPerOp: 400},
-		Benchmark{Name: "BenchmarkEngineContention/sharded/g16", NsPerOp: 200},
-	)
-	if p := checkRegression(bad, base, 0.15); len(p) != 1 {
-		t.Errorf("ratio regression not flagged: %v", p)
-	}
-	// Baseline has the pair but the run dropped it: flagged, not skipped.
-	if p := checkRegression(report(), base, 0.15); len(p) != 1 {
-		t.Errorf("missing contention pair not flagged: %v", p)
-	}
-	// No contention data in the baseline: nothing to gate.
-	if p := checkRegression(bad, report(), 0.15); len(p) != 0 {
-		t.Errorf("gate invented a baseline: %v", p)
 	}
 }
 

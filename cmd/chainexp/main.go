@@ -56,7 +56,7 @@ func main() {
 	solveWorkers := flag.Int("solve-workers", 1,
 		"DP worker team per solve (1 = serial, 0 = auto above the crossover, k>1 = pinned width)")
 	statsDump := flag.Bool("stats", false,
-		"print a one-shot metrics summary (solver team counters, per-shard solve latency quantiles, memo traffic) at exit")
+		"print a one-shot metrics summary (solver team counters, solve latency quantiles, memo traffic) at exit")
 	flag.Parse()
 	if *solveWorkers < 0 {
 		// The engine reads any negative width as auto; the flag spells

@@ -12,17 +12,10 @@
 //	-solve-workers k  DP worker team per solve: 1 serial (default; the
 //	                  pool is the parallelism), 0 auto (each solve
 //	                  engages a team above the crossover length on
-//	                  multi-core hosts), k>1 pins the width. Shards
-//	                  share one CPU budget: size workers×solve-workers
-//	                  to the core count. Never changes any plan.
+//	                  multi-core hosts), k>1 pins the width. Size
+//	                  workers×solve-workers to the core count. Never
+//	                  changes any plan.
 //	-cache k          plan memo capacity in entries (default 4096, 0 disables)
-//	-shards k         engine shards (default $CHAINSERVE_SHARDS, else the
-//	                  smaller of GOMAXPROCS and the worker count; an
-//	                  explicit value is rounded up to a power of two). Each
-//	                  shard owns its own solver kernel, plan memo and
-//	                  worker slice, with requests routed by instance
-//	                  fingerprint — the knob that keeps the memo from
-//	                  serializing heavy parallel traffic on one mutex.
 //	-drain d          graceful-shutdown drain timeout (default 10s, or
 //	                  $CHAINSERVE_DRAIN_TIMEOUT)
 //	-store-dir path   durable job store root (default $CHAINSERVE_STORE_DIR;
@@ -107,7 +100,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -134,8 +126,6 @@ func main() {
 	solveWorkers := flag.Int("solve-workers", 1,
 		"DP worker team per solve (1 = serial, 0 = auto above the crossover, k>1 = pinned width)")
 	cacheSize := flag.Int("cache", 4096, "plan memo capacity in entries (0 disables the memo)")
-	shards := flag.Int("shards", defaultShards(os.Getenv),
-		"engine shards, rounded up to a power of two (0 = min of cores and workers)")
 	drain := flag.Duration("drain", defaultDrainTimeout(os.Getenv), "graceful-shutdown drain timeout")
 	storeDir := flag.String("store-dir", os.Getenv("CHAINSERVE_STORE_DIR"),
 		"durable job store root (empty = in-memory jobs)")
@@ -187,7 +177,7 @@ func main() {
 	opsCfg.BurnShed = *burnShed
 	opsCfg.SampleInterval = *sloSample
 	srv := newServerWithOps(engine.New(engine.Options{
-		Workers: *workers, CacheSize: memo, Shards: *shards,
+		Workers: *workers, CacheSize: memo,
 		SolveWorkers: engineWorkers, Metrics: plane.engine,
 	}), store, *storeDir, plane, opsCfg)
 	defer srv.eng.Close()
@@ -229,8 +219,8 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("listening on %s (workers=%d, solve-workers=%d, cache=%d, shards=%d, drain=%s)",
-		*addr, *workers, *solveWorkers, *cacheSize, len(srv.eng.Stats().Shards), *drain)
+	log.Printf("listening on %s (workers=%d, solve-workers=%d, cache=%d, drain=%s)",
+		*addr, *workers, *solveWorkers, *cacheSize, *drain)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
@@ -251,20 +241,6 @@ func engineSolveWorkers(v int) (int, error) {
 		return -1, nil
 	}
 	return v, nil
-}
-
-// defaultShards resolves the -shards default: the CHAINSERVE_SHARDS
-// environment variable when it parses as a positive integer, 0 (= the
-// engine's own default, min of cores and workers) otherwise. The
-// -shards flag overrides both.
-func defaultShards(getenv func(string) string) int {
-	if v := getenv("CHAINSERVE_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-		log.Printf("ignoring invalid CHAINSERVE_SHARDS %q", v)
-	}
-	return 0
 }
 
 // defaultDrainTimeout resolves the graceful-drain default: the
@@ -304,7 +280,7 @@ type server struct {
 	routeLat     *obs.HistogramVec
 	reqSeq       atomic.Uint64
 
-	// The ops plane (ops.go): admission gate ahead of the shard pools
+	// The ops plane (ops.go): admission gate ahead of the engine pool
 	// and SLO burn-rate tracker over the route histograms.
 	opsCfg     opsConfig
 	opsMetrics *ops.Metrics

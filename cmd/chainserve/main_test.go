@@ -197,17 +197,13 @@ func TestHealthMetricsPlatforms(t *testing.T) {
 	}
 }
 
-// TestMetricsShardGauges: the per-shard solve/hit/depth gauges must
-// cover every shard and sum to the engine-wide counters.
+// TestMetricsShardGauges: the engine families count every solve,
+// hit and memo entry of the one pool, the solve histogram carries its
+// single shard="0" child, and no per-shard family is exported.
 func TestMetricsShardGauges(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 2, Shards: 4})
-	t.Cleanup(eng.Close)
-	srv := newServer(eng)
-	ts := httptest.NewServer(srv.mux())
-	t.Cleanup(ts.Close)
+	_, ts := newInstrumentedServer(t)
 
-	// Distinct plans plus one repeat: 3 solves and 1 hit, spread over
-	// whichever shards the fingerprints route to.
+	// Distinct plans plus one repeat: 3 solves and 1 hit.
 	postJSON(t, ts.URL+"/v1/plan", `{"platform":"Hera","pattern":"uniform","n":6}`)
 	postJSON(t, ts.URL+"/v1/plan", `{"platform":"Hera","pattern":"uniform","n":7}`)
 	postJSON(t, ts.URL+"/v1/plan", `{"platform":"Atlas","pattern":"uniform","n":8}`)
@@ -218,64 +214,19 @@ func TestMetricsShardGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := readAll(t, resp)
-	if !strings.Contains(metrics, "chainserve_engine_shards 4") {
-		t.Errorf("metrics missing shard-count gauge:\n%s", metrics)
-	}
-	sums := map[string]int{}
-	rows := map[string]int{}
-	// solves/hits accumulate since boot (counters, _total); depth is the
-	// live memo size (gauge).
-	families := []string{"solves_total", "hits_total", "depth"}
-	for _, line := range strings.Split(metrics, "\n") {
-		for _, fam := range families {
-			prefix := "chainserve_engine_shard_" + fam + `{shard="`
-			if !strings.HasPrefix(line, prefix) {
-				continue
-			}
-			var shard, v int
-			if _, err := fmt.Sscanf(line[len("chainserve_engine_shard_"):], fam+`{shard="%d"} %d`, &shard, &v); err != nil {
-				t.Fatalf("unparseable shard metric %q: %v", line, err)
-			}
-			if shard < 0 || shard > 3 {
-				t.Errorf("metric for out-of-range shard %d: %q", shard, line)
-			}
-			sums[fam] += v
-			rows[fam]++
-		}
-	}
-	for _, fam := range families {
-		if rows[fam] != 4 {
-			t.Errorf("%s has %d shard rows, want 4", fam, rows[fam])
-		}
-	}
-	if sums["solves_total"] != 3 || sums["hits_total"] != 1 || sums["depth"] != 3 {
-		t.Errorf("shard metric sums = %v, want solves=3 hits=1 depth=3", sums)
-	}
-	if !strings.Contains(metrics, "# TYPE chainserve_engine_shard_solves_total counter") ||
-		!strings.Contains(metrics, "# TYPE chainserve_engine_shard_depth gauge") {
-		t.Error("shard metric TYPE declarations missing or wrong")
-	}
-}
-
-func TestDefaultShards(t *testing.T) {
-	env := func(vals map[string]string) func(string) string {
-		return func(k string) string { return vals[k] }
-	}
-	for _, tc := range []struct {
-		name string
-		env  map[string]string
-		want int
-	}{
-		{"default", nil, 0},
-		{"from env", map[string]string{"CHAINSERVE_SHARDS": "8"}, 8},
-		{"invalid falls back", map[string]string{"CHAINSERVE_SHARDS": "many"}, 0},
-		{"non-positive falls back", map[string]string{"CHAINSERVE_SHARDS": "-2"}, 0},
+	for _, want := range []string{
+		"chainserve_engine_cache_misses_total 3",
+		"chainserve_engine_cache_hits_total 1",
+		"chainserve_engine_cache_entries 3",
+		`chainckpt_engine_solve_seconds_count{shard="0"} 3`,
+		"chainckpt_engine_queue_wait_seconds_count 3",
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := defaultShards(env(tc.env)); got != tc.want {
-				t.Errorf("defaultShards = %d, want %d", got, tc.want)
-			}
-		})
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	if strings.Contains(metrics, "chainserve_engine_shard") {
+		t.Error("per-shard engine families are still exported")
 	}
 }
 

@@ -51,7 +51,7 @@ func newObsPlane() *obsPlane {
 // scrapeSnapshot is the one consistent stats snapshot a scrape renders
 // from. The registry's scrape hook refreshes it once per exposition;
 // every collector then reads the same numbers, so a scrape can never
-// show an engine-wide total disagreeing with its per-shard breakdown
+// show, say, a hit ratio disagreeing with the hit and miss totals
 // because the engine moved between two Stats() calls.
 type scrapeSnapshot struct {
 	mu          sync.Mutex
@@ -143,40 +143,6 @@ func (s *server) initObs() {
 	gaugeFn("chainserve_engine_cache_entries",
 		"Current memo entries.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.eng.Entries) })
-	gaugeFn("chainserve_engine_shards",
-		"Engine shards (per-shard kernel, memo and workers).",
-		func(sn *scrapeSnapshot) float64 { return float64(len(sn.eng.Shards)) })
-
-	// Per-shard breakdown. Solves/hits accumulate since boot: counters,
-	// like their engine-wide cache_* equivalents; only the memo depth is
-	// a gauge.
-	reg.RegisterCounterFunc("chainserve_engine_shard_solves_total",
-		"Plan requests that ran a solver, per engine shard.", func(set obs.LabelSetter) {
-			snap.mu.Lock()
-			shards := snap.eng.Shards
-			snap.mu.Unlock()
-			for _, sh := range shards {
-				set.Set(float64(sh.CacheMisses), strconv.Itoa(sh.Shard))
-			}
-		}, "shard")
-	reg.RegisterCounterFunc("chainserve_engine_shard_hits_total",
-		"Plan requests served from the memo, per engine shard.", func(set obs.LabelSetter) {
-			snap.mu.Lock()
-			shards := snap.eng.Shards
-			snap.mu.Unlock()
-			for _, sh := range shards {
-				set.Set(float64(sh.CacheHits), strconv.Itoa(sh.Shard))
-			}
-		}, "shard")
-	reg.RegisterGaugeFunc("chainserve_engine_shard_depth",
-		"Current memo entries, per engine shard.", func(set obs.LabelSetter) {
-			snap.mu.Lock()
-			shards := snap.eng.Shards
-			snap.mu.Unlock()
-			for _, sh := range shards {
-				set.Set(float64(sh.Entries), strconv.Itoa(sh.Shard))
-			}
-		}, "shard")
 
 	// Kernel scratch pools.
 	counterFn("chainserve_kernel_solves_total",

@@ -1,6 +1,6 @@
 // The service's ops plane: the actuation layer over the observability
-// plane. Admission control gates the write routes ahead of the shard
-// pools (bounded queues, two priority classes, per-request deadlines
+// plane. Admission control gates the write routes ahead of the engine
+// pool (bounded queues, two priority classes, per-request deadlines
 // honoring X-Deadline-Ms), the SLO tracker computes multi-window burn
 // rates from the same route histograms /metrics exports, burn-coupled
 // load-shedding drops batch work first when the fast window burns hot.

@@ -281,19 +281,17 @@ func TestCrossValidationKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCrossValidationShardedEngineByteIdentical is the sharded-engine
-// property: routing requests across per-shard kernels, memos and worker
-// pools must be invisible in the results — every plan from a sharded
-// engine is byte-identical (same expected-makespan bits, same schedule
-// actions) to the plan from a one-shard engine, across randomized
-// chains, platforms, per-boundary costs, constraints and budgets, on
-// both cold solves and memo-served repeats.
+// TestCrossValidationShardedEngineByteIdentical is the engine property:
+// the pool, the pooled kernel arenas and the memo must be invisible in
+// the results — every engine plan is byte-identical (same
+// expected-makespan bits, same schedule actions) to a direct
+// PlanWithOptions, across randomized chains, platforms, per-boundary
+// costs, constraints and budgets, on both cold solves and memo-served
+// repeats.
 func TestCrossValidationShardedEngineByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
-	sharded := NewEngine(EngineOptions{Workers: 8, Shards: 8})
-	defer sharded.Close()
-	single := NewEngine(EngineOptions{Workers: 8, Shards: 1})
-	defer single.Close()
+	eng := NewEngine(EngineOptions{Workers: 8})
+	defer eng.Close()
 
 	var reqs []PlanRequest
 	for i := 0; i < 24; i++ {
@@ -336,34 +334,30 @@ func TestCrossValidationShardedEngineByteIdentical(t *testing.T) {
 		})
 	}
 
-	for pass := 0; pass < 2; pass++ { // pass 1 re-plans through the memos
-		a := sharded.PlanMany(t.Context(), reqs)
-		b := single.PlanMany(t.Context(), reqs)
+	want := make([]*PlanResult, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if want[i], err = PlanWithOptions(r.Algorithm, r.Chain, r.Platform, r.Opts); err != nil {
+			t.Fatalf("request %d: direct plan: %v", i, err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ { // pass 1 re-plans through the memo
+		got := eng.PlanMany(t.Context(), reqs)
 		for i := range reqs {
-			if a[i].Err != nil || b[i].Err != nil {
-				t.Fatalf("pass %d request %d: sharded err=%v single err=%v", pass, i, a[i].Err, b[i].Err)
+			if got[i].Err != nil {
+				t.Fatalf("pass %d request %d: %v", pass, i, got[i].Err)
 			}
-			if math.Float64bits(a[i].Result.ExpectedMakespan) != math.Float64bits(b[i].Result.ExpectedMakespan) {
-				t.Errorf("pass %d request %d: sharded %.17g vs single-shard %.17g",
-					pass, i, a[i].Result.ExpectedMakespan, b[i].Result.ExpectedMakespan)
+			if got[i].Cached != (pass == 1) {
+				t.Errorf("pass %d request %d: cached=%v", pass, i, got[i].Cached)
 			}
-			if !a[i].Result.Schedule.Equal(b[i].Result.Schedule) {
-				t.Errorf("pass %d request %d: schedule mismatch across shard counts", pass, i)
+			if math.Float64bits(got[i].Result.ExpectedMakespan) != math.Float64bits(want[i].ExpectedMakespan) {
+				t.Errorf("pass %d request %d: engine %.17g vs direct %.17g",
+					pass, i, got[i].Result.ExpectedMakespan, want[i].ExpectedMakespan)
+			}
+			if !got[i].Result.Schedule.Equal(want[i].Schedule) {
+				t.Errorf("pass %d request %d: schedule differs from the direct plan", pass, i)
 			}
 		}
-	}
-	st := sharded.Stats()
-	if st.CacheHits == 0 {
-		t.Error("second pass never hit the sharded memo")
-	}
-	touched := 0
-	for _, ss := range st.Shards {
-		if ss.Requests > 0 {
-			touched++
-		}
-	}
-	if touched < 2 {
-		t.Errorf("24 instances landed on %d shard(s); routing looks degenerate", touched)
 	}
 }
 
@@ -377,9 +371,9 @@ func TestCrossValidationShardedEngineByteIdentical(t *testing.T) {
 // Opts.SolveWorkers at 0 takes the solver's crossover-gated path.
 func TestCrossValidationOpsPlaneDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	mixed := NewEngine(EngineOptions{Workers: 4, Shards: 4, CacheSize: -1, SolveWorkers: -1})
+	mixed := NewEngine(EngineOptions{Workers: 4, CacheSize: -1, SolveWorkers: -1})
 	defer mixed.Close()
-	baseline := NewEngine(EngineOptions{Workers: 4, Shards: 4})
+	baseline := NewEngine(EngineOptions{Workers: 4})
 	defer baseline.Close()
 
 	var reqs, wide []PlanRequest

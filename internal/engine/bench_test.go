@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"chainckpt/internal/core"
@@ -113,71 +111,4 @@ func BenchmarkEngineSweepDistinct(b *testing.B) {
 			eng.Close()
 		}
 	})
-}
-
-// BenchmarkEngineContention is the sharding headline: parallel PlanMany
-// load from 1/4/16/64 goroutines against a sharded engine versus the
-// same engine pinned to one shard. The workload is hit-dominated — the
-// memo is pre-warmed with 64 small instances and every op re-plans the
-// whole batch — because serving hits is where the unsharded engine
-// serializes: each hit locks the single memo mutex to touch the LRU
-// list, so under parallel load every goroutine queues on one lock. With
-// 16 shards the same hits spread over 16 mutexes. One op = one
-// PlanMany(64); compare ns/op between the single/gN and sharded/gN
-// variants at equal goroutine counts (cmd/benchjson -baseline gates the
-// single/sharded throughput ratio against the committed numbers).
-func BenchmarkEngineContention(b *testing.B) {
-	var reqs []Request
-	for _, plat := range platform.All() {
-		for n := 3; n <= 18; n++ {
-			c, err := workload.Uniform(n, 100*float64(n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			reqs = append(reqs, Request{Algorithm: core.AlgADMV, Chain: c, Platform: plat})
-		}
-	}
-	if len(reqs) != 64 {
-		b.Fatalf("contention batch has %d requests, want 64", len(reqs))
-	}
-	for _, v := range []struct {
-		name   string
-		shards int
-	}{
-		// Shard counts pinned (not GOMAXPROCS) so the two variants differ
-		// only in sharding, on any machine.
-		{"sharded", 16},
-		{"single", 1},
-	} {
-		for _, g := range []int{1, 4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/g%d", v.name, g), func(b *testing.B) {
-				eng := New(Options{Workers: 16, CacheSize: 4096, Shards: v.shards})
-				defer eng.Close()
-				ctx := context.Background()
-				for _, resp := range eng.PlanMany(ctx, reqs) { // warm every memo
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
-					}
-				}
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				wg.Add(g)
-				for w := 0; w < g; w++ {
-					go func() {
-						defer wg.Done()
-						for next.Add(1) <= int64(b.N) {
-							for _, resp := range eng.PlanMany(ctx, reqs) {
-								if resp.Err != nil {
-									b.Error(resp.Err)
-									return
-								}
-							}
-						}
-					}()
-				}
-				wg.Wait()
-			})
-		}
-	}
 }

@@ -1,23 +1,12 @@
 // Package engine turns the planners of internal/core into a concurrent
-// batch-planning service. An Engine owns a set of independent shards —
-// each with its own solver kernel, LRU memo of solved instances, and
-// worker pool — and routes every request to a shard by the canonical
-// fingerprint of its instance (Fingerprint): many (chain, platform,
-// algorithm) requests are resolved at once, identical in-flight
-// requests meet in the same shard and are coalesced onto one solver
-// run, and repeated or near-duplicate requests — the normal shape of
-// experiment sweeps and service traffic — are served from cache.
-//
-// Sharding is what lets the memo serve heavy concurrent traffic: with
-// one shard, every cache hit serializes on a single mutex to touch the
-// LRU list, and that mutex is the whole engine's contention point. With
-// N shards the same traffic spreads over N independent mutexes, N
-// memos and N kernels, while the fingerprint routing keeps the memo
-// semantics exactly those of the unsharded engine: an instance always
-// hashes to the same shard, so dedup, coalescing and LRU behavior are
-// unchanged per instance, and results are byte-identical to Shards: 1
-// (the cross-validation suite enforces this). BenchmarkEngineContention
-// measures the difference under parallel PlanMany load.
+// batch-planning service. An Engine owns one solver kernel, one LRU
+// memo of solved instances keyed by their canonical fingerprint
+// (Fingerprint), and one pool of worker goroutines: many (chain,
+// platform, algorithm) requests are resolved at once, any free worker
+// takes the next cache miss, identical in-flight requests are coalesced
+// onto one solver run (the memo doubles as the singleflight table), and
+// repeated or near-duplicate requests — the normal shape of experiment
+// sweeps and service traffic — are served from cache.
 //
 // Each planning job runs the dynamic program serially by default (core
 // Options.SolveWorkers = 1 unless the request or Options.SolveWorkers
@@ -28,20 +17,21 @@
 // balance flips — one huge solve dominates wall clock — and
 // Options.SolveWorkers hands those solves the kernel's worker team.
 //
-// The Engine also exposes Run, a generic bounded fan-out over the shard
-// pools, so batch pipelines that interleave planning with evaluation or
+// The Engine also exposes Run, a generic bounded fan-out over the same
+// pool, so batch pipelines that interleave planning with evaluation or
 // Monte-Carlo simulation (internal/experiments) share one parallelism
 // budget instead of stacking pools.
 package engine
 
 import (
+	"container/list"
 	"context"
 	"errors"
-	"math/bits"
+	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"chainckpt/internal/chain"
 	"chainckpt/internal/core"
@@ -54,48 +44,26 @@ var ErrClosed = errors.New("engine: closed")
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the total size of the worker pool (default GOMAXPROCS),
-	// spread across the shards. Every shard keeps at least one worker,
-	// so an explicit Shards larger than Workers raises the total to one
-	// per shard; the default shard count never exceeds Workers, keeping
-	// Workers an effective concurrency bound.
+	// Workers is the size of the worker pool (default GOMAXPROCS).
 	Workers int
-	// CacheSize is the maximum number of memoized plans across all
-	// shards (default 1024), split evenly per shard (at least one entry
-	// each); negative disables the cache entirely, including in-flight
-	// request coalescing.
+	// CacheSize is the maximum number of memoized plans (default 1024),
+	// an exact LRU bound; negative disables the cache entirely,
+	// including in-flight request coalescing.
 	CacheSize int
-	// Shards is the number of engine shards. Each shard owns its own
-	// solver kernel, LRU memo, singleflight table and worker slice;
-	// requests are routed by instance fingerprint. An explicit value is
-	// rounded up to a power of two; the default is min(GOMAXPROCS,
-	// Workers) rounded down to one, so the default configuration keeps
-	// both the core count and the Workers budget honest. Shards: 1
-	// reproduces the unsharded engine exactly.
-	Shards int
-	// Kernel, when non-nil, is shared by every shard instead of the
-	// per-shard kernels (default: one private kernel per shard, so a
-	// shard's scratch pools are never contended by another shard's
-	// workers). One kernel serving many workers is still correct: its
-	// size-bucketed arena pools hand each concurrent solve its own
-	// scratch (see Stats.Kernel).
-	Kernel *core.Kernel
 	// Metrics, when non-nil, wires the engine into an obs registry:
-	// per-shard queue-wait and solve-latency histograms plus Run
-	// work-stealing counters (see NewMetrics). Nil means uninstrumented
-	// — every site degrades to a nil check.
+	// queue-wait and solve-latency histograms (see NewMetrics). Nil
+	// means uninstrumented — every site degrades to a nil check.
 	Metrics *Metrics
 	// SolveWorkers is the per-solve DP parallelism applied to requests
 	// that do not pin their own (Request.Opts.SolveWorkers == 0). Zero
 	// keeps every solve serial — the engine's default, since its worker
 	// pool already provides instance-level parallelism. A positive value
-	// gives each cache-miss solve a worker team of that width (the
-	// shards share one budget: each shard's kernel team is drawn from
-	// the same machine, so size Workers × SolveWorkers to the core
-	// count, not each to it). A negative value selects the solver's
-	// GOMAXPROCS-aware auto mode, which engages only above the
-	// crossover window length — the right setting when occasional
-	// mega-chains share the engine with small interactive traffic.
+	// gives each cache-miss solve a worker team of that width (size
+	// Workers × SolveWorkers to the core count, not each to it). A
+	// negative value selects the solver's GOMAXPROCS-aware auto mode,
+	// which engages only above the crossover window length — the right
+	// setting when occasional mega-chains share the engine with small
+	// interactive traffic.
 	SolveWorkers int
 }
 
@@ -105,15 +73,6 @@ func (o Options) normalized() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
-	}
-	if o.Shards <= 0 {
-		// Default: as many shards as cores, but never more shards than
-		// workers — each shard keeps at least one worker, so more shards
-		// than Workers would silently exceed the configured budget.
-		def := min(o.Workers, runtime.GOMAXPROCS(0))
-		o.Shards = 1 << (bits.Len(uint(max(def, 1))) - 1) // round down to a power of two
-	} else if o.Shards > 1 {
-		o.Shards = 1 << bits.Len(uint(o.Shards-1)) // round up to a power of two
 	}
 	return o
 }
@@ -152,8 +111,7 @@ type Response struct {
 	Err error
 }
 
-// Stats is a snapshot of the engine's counters, aggregated across
-// shards; Shards carries the per-shard breakdown.
+// Stats is a snapshot of the engine's counters.
 type Stats struct {
 	// Requests counts planning requests accepted.
 	Requests uint64
@@ -166,45 +124,19 @@ type Stats struct {
 	Evictions uint64
 	// Errors counts requests that finished with an error.
 	Errors uint64
-	// Entries is the current number of memo entries across all shards.
+	// Entries is the current number of memo entries.
 	Entries int
 	// Algorithms counts requests per algorithm name, so operators can
 	// see which planners their traffic actually uses. Unknown algorithm
 	// strings (requests the solver will reject) are lumped under
 	// "other", keeping the map bounded against hostile input.
 	Algorithms map[string]uint64
-	// Kernel reports the solver kernels' scratch-pool counters — the
-	// per-shard kernels merged (buckets summed by capacity), or the one
-	// shared kernel when Options.Kernel was injected.
+	// Kernel reports the solver kernel's scratch-pool counters.
 	Kernel core.KernelStats
-	// Shards is the per-shard breakdown; its counters sum to the
-	// aggregates above.
-	Shards []ShardStats
-}
-
-// ShardStats is one shard's slice of the engine counters.
-type ShardStats struct {
-	// Shard is the shard index (the fingerprint-hash bucket).
-	Shard int `json:"shard"`
-	// Requests counts planning requests routed to this shard.
-	Requests uint64 `json:"requests"`
-	// CacheHits and CacheMisses split the shard's requests into plans
-	// served from its memo and plans that ran a solver.
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	// Evictions counts memo entries dropped by this shard's LRU policy.
-	Evictions uint64 `json:"evictions"`
-	// Errors counts requests that finished with an error.
-	Errors uint64 `json:"errors"`
-	// Entries is the shard's current memo depth.
-	Entries int `json:"entries"`
-	// Kernel is the shard's private kernel snapshot; the zero value when
-	// the engine was built with an injected shared kernel (whose
-	// counters cannot be attributed to one shard). A value type cannot
-	// carry omitempty, so the shared-kernel case serializes explicit
-	// zeros — read them as "not attributable", signalled by the
-	// engine-level Stats.Kernel being non-zero.
-	Kernel core.KernelStats `json:"kernel"`
+	// Shards is a one-entry slice holding a copy of the counters above;
+	// its only reader is ledgerbench's traced replay (trace.go), which
+	// sizes its solve-latency children by it.
+	Shards []Stats
 }
 
 // HitRatio returns the fraction of requests served from the memo, 0
@@ -231,73 +163,67 @@ type entry struct {
 // concurrent use.
 type Engine struct {
 	opts   Options
-	shards []*shard
-	mask   uint64
-	shared *core.Kernel // non-nil when Options.Kernel was injected
+	kernel *core.Kernel
+	// solveWorkers is stamped on requests whose Opts.SolveWorkers is
+	// unset: 1 keeps solves serial (the engine default), 0 selects the
+	// solver's crossover-gated auto mode, larger values pin a team.
+	solveWorkers int
+
+	jobs    chan func()
+	workers sync.WaitGroup // pool goroutines
+	pending sync.WaitGroup // submitted, not yet finished jobs
 
 	mu     sync.Mutex
 	closed bool
+	cache  map[string]*list.Element // key -> element holding *entry
+	order  *list.List               // front = most recently used
 
-	// Accepted requests per algorithm. Plain atomics, not a
-	// mutex-guarded map: these sit on the hit-dominated hot path, and a
-	// single engine-wide mutex there would re-create exactly the
-	// serialization sharding removes.
+	requests, hits, misses, evictions, errors atomic.Uint64
+	// Accepted requests per algorithm: plain atomics, so counting stays
+	// off the memo mutex on the hit-dominated hot path.
 	algADV, algADMVStar, algADMV, algOther atomic.Uint64
+
+	// Metric instruments resolved once at construction (nil when the
+	// engine is uninstrumented — every use is nil-safe).
+	queueWait, solveLat *obs.Histogram
 }
 
-// New starts an engine with opts.Shards shards sharing opts.Workers
-// pool goroutines. Callers must Close it to release them.
+// New starts an engine with opts.Workers pool goroutines. Callers must
+// Close it to release them.
 func New(opts Options) *Engine {
 	opts = opts.normalized()
 	e := &Engine{
 		opts:   opts,
-		shared: opts.Kernel,
-		mask:   uint64(opts.Shards - 1),
+		kernel: core.NewKernel(),
+		jobs:   make(chan func()),
+		cache:  make(map[string]*list.Element),
+		order:  list.New(),
 	}
-	perCache := opts.CacheSize
-	if perCache > 0 {
-		perCache = (opts.CacheSize + opts.Shards - 1) / opts.Shards
-	}
-	// Map the engine-level solve parallelism to the core option each
-	// shard stamps on requests that left it unset: 0 (engine default)
-	// pins the serial path, negative selects the solver's auto mode
-	// (core's zero value).
-	solveWorkers := 1
+	// Map the engine-level solve parallelism to the core option stamped
+	// on requests that left it unset: 0 (engine default) pins the serial
+	// path, negative selects the solver's auto mode (core's zero value).
+	e.solveWorkers = 1
 	if opts.SolveWorkers > 0 {
-		solveWorkers = opts.SolveWorkers
+		e.solveWorkers = opts.SolveWorkers
 	} else if opts.SolveWorkers < 0 {
-		solveWorkers = 0
+		e.solveWorkers = 0
 	}
-	for i := 0; i < opts.Shards; i++ {
-		kern := opts.Kernel
-		if kern == nil {
-			kern = core.NewKernel()
-		}
-		workers := opts.Workers / opts.Shards
-		if i < opts.Workers%opts.Shards {
-			workers++
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		e.shards = append(e.shards, newShard(i, kern, perCache, workers, solveWorkers, opts.Metrics))
+	e.queueWait, e.solveLat = opts.Metrics.instruments()
+	for w := 0; w < opts.Workers; w++ {
+		e.workers.Add(1)
+		go func() {
+			defer e.workers.Done()
+			for job := range e.jobs {
+				job()
+				e.pending.Done()
+			}
+		}()
 	}
 	return e
 }
 
-// shardFor maps a fingerprint to its shard: the leading fingerprint
-// bytes (SHA-256 output, uniformly distributed) masked to the
-// power-of-two shard count.
-func (e *Engine) shardFor(key string) *shard {
-	var v uint64
-	for i := 0; i < 8 && i < len(key); i++ {
-		v = v<<8 | uint64(key[i])
-	}
-	return e.shards[v&e.mask]
-}
-
-// Close waits for in-flight jobs and stops every shard pool. Further
-// planning calls return ErrClosed; Close is idempotent.
+// Close waits for in-flight jobs and stops the pool. Further planning
+// calls return ErrClosed; Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -306,31 +232,52 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.mu.Unlock()
-	// Seal every shard first so no shard can accept new work while its
-	// siblings drain, then drain them.
-	for _, s := range e.shards {
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
+	e.pending.Wait()
+	close(e.jobs)
+	e.workers.Wait()
+}
+
+// submit schedules job on the pool. It reports ErrClosed on a closed
+// engine and the context error if ctx is cancelled while waiting for a
+// pool slot — a saturated pool must not keep queueing work for callers
+// that already gave up.
+func (e *Engine) submit(ctx context.Context, job func()) error {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return ErrClosed
 	}
-	for _, s := range e.shards {
-		s.pending.Wait()
-		close(s.jobs)
-		s.workers.Wait()
+	e.pending.Add(1)
+	e.mu.Unlock()
+	if e.queueWait != nil {
+		// Queue wait = submit to pool-slot pickup. Wrapped only when
+		// instrumented so the unmetered path keeps its zero-closure
+		// submit.
+		inner := job
+		enqueued := time.Now()
+		job = func() {
+			e.queueWait.ObserveSince(enqueued)
+			inner()
+		}
+	}
+	select {
+	case e.jobs <- job:
+		return nil
+	case <-ctx.Done():
+		e.pending.Done()
+		return ctx.Err()
 	}
 }
 
-// Run executes fn(0..n-1) over the shard pools and waits for all of
-// them, returning the first error (after every task has finished). A
-// context cancellation skips tasks that have not started yet.
+// Run executes fn(0..n-1) over the pool and waits for all of them,
+// returning the first error (after every task has finished). A context
+// cancellation skips tasks that have not started yet.
 //
-// Tasks are never pre-assigned to a shard: Run occupies up to one pool
-// slot per engine worker with a pump that drains a shared task queue,
-// so any free worker anywhere takes the next task — the work-stealing
-// the pre-shard single pool had, preserved across the split. (Dealing
-// tasks round-robin would let one long task strand the work behind it
-// while other shards idle.) The pumps are ordinary pool jobs, so Run
-// still shares the engine's parallelism budget with planning traffic.
+// Run occupies up to one pool slot per worker with a pump that drains a
+// shared task queue, so any free worker takes the next task and one
+// long task never strands the work behind it. The pumps are ordinary
+// pool jobs, so Run shares the engine's parallelism budget with
+// planning traffic.
 func (e *Engine) Run(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -347,8 +294,8 @@ func (e *Engine) Run(ctx context.Context, n int, fn func(i int) error) error {
 	tasks := make(chan int)
 	abort := make(chan struct{}) // closed only if no pump ever started
 	// Feed concurrently with pump submission: the first pump to start
-	// begins draining immediately, so a shard whose worker is busy with
-	// a long solve delays only its own pump, never the tasks.
+	// begins draining immediately, so a worker busy with a long solve
+	// delays only its own pump, never the tasks.
 	go func() {
 		defer close(tasks)
 		for i := 0; i < n; i++ {
@@ -361,34 +308,28 @@ func (e *Engine) Run(ctx context.Context, n int, fn func(i int) error) error {
 	}()
 	var pumps sync.WaitGroup
 	started := 0
-starting:
-	for _, s := range e.shards {
-		for w := 0; w < s.nworkers && started < n; w++ {
-			pumps.Add(1)
-			steals := s.steals
-			err := s.submit(ctx, func() {
-				defer pumps.Done()
-				for i := range tasks {
-					if ctx.Err() != nil {
-						continue // drain without running
-					}
-					steals.Inc()
-					if err := fn(i); err != nil {
-						setErr(err)
-					}
+	for ; started < e.opts.Workers && started < n; started++ {
+		pumps.Add(1)
+		err := e.submit(ctx, func() {
+			defer pumps.Done()
+			for i := range tasks {
+				if ctx.Err() != nil {
+					continue // drain without running
 				}
-			})
-			if err != nil {
-				pumps.Done()
-				// A cancellation-driven submit failure must not mask the
-				// task error that triggered the cancel; the ctx.Err
-				// fallback below covers externally cancelled runs.
-				if errors.Is(err, ErrClosed) {
+				if err := fn(i); err != nil {
 					setErr(err)
 				}
-				break starting
 			}
-			started++
+		})
+		if err != nil {
+			pumps.Done()
+			// A cancellation-driven submit failure must not mask the
+			// task error that triggered the cancel; the ctx.Err
+			// fallback below covers externally cancelled runs.
+			if errors.Is(err, ErrClosed) {
+				setErr(err)
+			}
+			break
 		}
 	}
 	if started == 0 {
@@ -454,9 +395,8 @@ func (e *Engine) PlanAsync(ctx context.Context, req Request) <-chan Response {
 }
 
 // planOne is the single-request path shared by every public method:
-// count the algorithm, fingerprint the instance, and hand the request
-// to its shard. Requests that cannot be fingerprinted (the solver will
-// reject them with a precise error) run on shard 0, outside any memo.
+// count the algorithm, fingerprint the instance, and resolve it under
+// an engine.plan span.
 func (e *Engine) planOne(ctx context.Context, index int, req Request) Response {
 	switch req.Algorithm {
 	case core.AlgADV:
@@ -470,17 +410,12 @@ func (e *Engine) planOne(ctx context.Context, index int, req Request) Response {
 	}
 
 	key, kerr := Fingerprint(req)
-	sh := e.shards[0]
-	if kerr == nil {
-		sh = e.shardFor(key)
-	}
 	sp := obs.SpanFrom(ctx).Child("engine.plan")
-	// Carry the plan span down so the shard's kernel.solve child nests
-	// under it (ContextWithSpan is a no-op on a nil span).
-	resp := sh.planOne(obs.ContextWithSpan(ctx, sp), index, req, key, kerr)
+	// Carry the plan span down so the kernel.solve child nests under it
+	// (ContextWithSpan is a no-op on a nil span).
+	resp := e.resolve(obs.ContextWithSpan(ctx, sp), index, req, key, kerr)
 	if sp != nil {
 		sp.SetAttr("algorithm", string(req.Algorithm))
-		sp.SetAttrInt("shard", int64(sh.id))
 		if resp.Cached {
 			sp.SetAttr("cached", "true")
 		}
@@ -489,42 +424,189 @@ func (e *Engine) planOne(ctx context.Context, index int, req Request) Response {
 	return resp
 }
 
-// Kernel returns the solver kernel co-located components share for
-// their own direct solves (the execution supervisor's suffix re-plans,
-// a DAG linearization search): the injected Options.Kernel when one was
-// given, shard 0's kernel otherwise.
-func (e *Engine) Kernel() *core.Kernel {
-	if e.shared != nil {
-		return e.shared
+// resolve answers one request from the memo or the pool. key is the
+// request's fingerprint; kerr non-nil marks a request that could not be
+// fingerprinted (it skips the memo and solves on the caller's
+// goroutine, so the solver reports the precise validation error).
+func (e *Engine) resolve(ctx context.Context, index int, req Request, key string, kerr error) Response {
+	e.requests.Add(1)
+	resp := Response{Index: index, Tag: req.Tag}
+
+	// Honor the ErrClosed contract even for requests the memo could
+	// serve; a closed engine answers nothing.
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		e.errors.Add(1)
+		resp.Err = ErrClosed
+		return resp
 	}
-	return e.shards[0].kernel
+
+	if kerr != nil {
+		e.misses.Add(1)
+		resp.Result, resp.Err = e.solve(ctx, req)
+		if resp.Err != nil {
+			e.errors.Add(1)
+		}
+		return resp
+	}
+
+	if e.opts.CacheSize < 0 {
+		e.misses.Add(1)
+		resp.Result, resp.Err = e.solveOnPool(ctx, req)
+		if resp.Err != nil {
+			e.errors.Add(1)
+		}
+		return resp
+	}
+
+	e.mu.Lock()
+	if el, ok := e.cache[key]; ok {
+		e.order.MoveToFront(el)
+		ent := el.Value.(*entry)
+		e.mu.Unlock()
+		e.hits.Add(1)
+		resp.Cached = true
+		select {
+		case <-ent.done:
+			resp.Result, resp.Err = cloneResult(ent.res), ent.err
+		case <-ctx.Done():
+			resp.Err = ctx.Err()
+		}
+		if resp.Err != nil {
+			e.errors.Add(1)
+		}
+		return resp
+	}
+	ent := &entry{key: key, done: make(chan struct{})}
+	e.cache[key] = e.order.PushFront(ent)
+	for e.order.Len() > e.opts.CacheSize {
+		oldest := e.order.Back()
+		e.order.Remove(oldest)
+		delete(e.cache, oldest.Value.(*entry).key)
+		e.evictions.Add(1)
+	}
+	e.mu.Unlock()
+	e.misses.Add(1)
+
+	err := e.submit(ctx, func() {
+		ent.res, ent.err = e.solve(ctx, req)
+		if ent.err != nil {
+			// Failed solves are not worth a memo slot: keeping them would
+			// let a stream of cheap invalid requests evict valid plans.
+			e.dropEntry(ent)
+		}
+		close(ent.done)
+	})
+	if err != nil {
+		// Engine closed, or this caller cancelled before a pool slot
+		// freed: drop the entry and finalize it so any coalesced waiter
+		// is released too (a later identical request re-solves).
+		e.dropEntry(ent)
+		ent.err = err
+		close(ent.done)
+	}
+
+	select {
+	case <-ent.done:
+		resp.Result, resp.Err = cloneResult(ent.res), ent.err
+	case <-ctx.Done():
+		resp.Err = ctx.Err()
+	}
+	if resp.Err != nil {
+		e.errors.Add(1)
+	}
+	return resp
 }
 
-// Stats returns a snapshot of the engine's counters: the cross-shard
-// aggregates plus the per-shard breakdown.
-func (e *Engine) Stats() Stats {
-	st := Stats{Shards: make([]ShardStats, len(e.shards))}
-	kstats := make([]core.KernelStats, 0, len(e.shards))
-	for i, s := range e.shards {
-		ss := s.stats()
-		if e.shared == nil {
-			ss.Kernel = s.kernel.Stats()
-			kstats = append(kstats, ss.Kernel)
+// dropEntry removes ent from the memo if it still owns its slot (it may
+// have been evicted by the LRU policy in the meantime).
+func (e *Engine) dropEntry(ent *entry) {
+	e.mu.Lock()
+	if el, ok := e.cache[ent.key]; ok && el.Value.(*entry) == ent {
+		e.order.Remove(el)
+		delete(e.cache, ent.key)
+	}
+	e.mu.Unlock()
+}
+
+// solveOnPool runs solve as a pool job and waits for it (the uncached
+// path).
+func (e *Engine) solveOnPool(ctx context.Context, req Request) (*core.Result, error) {
+	var res *core.Result
+	var err error
+	done := make(chan struct{})
+	if serr := e.submit(ctx, func() {
+		// Nobody shares an uncached result: skip the solve entirely if
+		// the only waiter is already gone.
+		if ctx.Err() == nil {
+			res, err = e.solve(ctx, req)
+		} else {
+			err = ctx.Err()
 		}
-		st.Shards[i] = ss
-		st.Requests += ss.Requests
-		st.CacheHits += ss.CacheHits
-		st.CacheMisses += ss.CacheMisses
-		st.Evictions += ss.Evictions
-		st.Errors += ss.Errors
-		st.Entries += ss.Entries
+		close(done)
+	}); serr != nil {
+		return nil, serr
 	}
-	if e.shared != nil {
-		st.Kernel = e.shared.Stats()
-	} else {
-		st.Kernel = mergeKernelStats(kstats)
+	select {
+	case <-done:
+		return res, err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	st.Algorithms = make(map[string]uint64, 4)
+}
+
+// solve runs the dynamic program for one request through the engine's
+// kernel. Requests that do not pin their own solver parallelism inherit
+// the engine's SolveWorkers policy; the engine default keeps solves
+// serial, because the pool already provides instance-level parallelism.
+func (e *Engine) solve(ctx context.Context, req Request) (*core.Result, error) {
+	opts := req.Opts
+	if opts.SolveWorkers == 0 {
+		opts.SolveWorkers = e.solveWorkers
+	}
+	span := obs.SpanFrom(ctx).Child("kernel.solve")
+	span.SetAttr("algorithm", string(req.Algorithm))
+	span.SetAttrInt("workers", int64(opts.SolveWorkers))
+	var start time.Time
+	if e.solveLat != nil {
+		start = time.Now()
+	}
+	res, err := e.kernel.PlanOpts(req.Algorithm, req.Chain, req.Platform, opts)
+	if e.solveLat != nil {
+		e.solveLat.ObserveSince(start)
+	}
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	}
+	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return res, nil
+}
+
+// Kernel returns the engine's solver kernel, which co-located
+// components share for their own direct solves (the execution
+// supervisor's suffix re-plans, a DAG linearization search).
+func (e *Engine) Kernel() *core.Kernel { return e.kernel }
+
+// Stats returns a snapshot of the engine's counters.
+func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	entries := e.order.Len()
+	e.mu.Unlock()
+	st := Stats{
+		Requests:    e.requests.Load(),
+		CacheHits:   e.hits.Load(),
+		CacheMisses: e.misses.Load(),
+		Evictions:   e.evictions.Load(),
+		Errors:      e.errors.Load(),
+		Entries:     entries,
+		Kernel:      e.kernel.Stats(),
+		Algorithms:  make(map[string]uint64, 4),
+	}
 	for alg, v := range map[string]uint64{
 		string(core.AlgADV):      e.algADV.Load(),
 		string(core.AlgADMVStar): e.algADMVStar.Load(),
@@ -535,41 +617,8 @@ func (e *Engine) Stats() Stats {
 			st.Algorithms[alg] = v
 		}
 	}
+	st.Shards = []Stats{st}
 	return st
-}
-
-// mergeKernelStats sums per-shard kernel snapshots into one engine-wide
-// view: counters add, buckets merge by capacity.
-func mergeKernelStats(sts []core.KernelStats) core.KernelStats {
-	if len(sts) == 1 {
-		return sts[0]
-	}
-	out := core.KernelStats{}
-	buckets := make(map[int]core.KernelBucketStats)
-	for _, st := range sts {
-		out.Solves += st.Solves
-		out.ScratchReuses += st.ScratchReuses
-		out.ScratchFresh += st.ScratchFresh
-		out.Parallel.Solves += st.Parallel.Solves
-		out.Parallel.Tiles += st.Parallel.Tiles
-		out.Parallel.LocalTiles += st.Parallel.LocalTiles
-		out.Parallel.Steals += st.Parallel.Steals
-		out.Parallel.BusySeconds += st.Parallel.BusySeconds
-		out.Parallel.CrossoverSkips += st.Parallel.CrossoverSkips
-		out.Parallel.Workers += st.Parallel.Workers
-		for _, b := range st.Buckets {
-			m := buckets[b.Cap]
-			m.Cap = b.Cap
-			m.Reuses += b.Reuses
-			m.Fresh += b.Fresh
-			buckets[b.Cap] = m
-		}
-	}
-	for _, b := range buckets {
-		out.Buckets = append(out.Buckets, b)
-	}
-	sort.Slice(out.Buckets, func(i, j int) bool { return out.Buckets[i].Cap < out.Buckets[j].Cap })
-	return out
 }
 
 // cloneResult gives each caller an independent copy of a memoized plan.
@@ -590,7 +639,7 @@ var (
 )
 
 // Default returns the shared process-wide engine, creating it with
-// default options (GOMAXPROCS shards) on first use. It is what the
+// default options (GOMAXPROCS workers) on first use. It is what the
 // experiment harness and the command-line tools plan through, so a
 // whole process shares one memo and one parallelism budget.
 func Default() *Engine {

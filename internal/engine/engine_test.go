@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"chainckpt/internal/core"
 	"chainckpt/internal/platform"
@@ -64,9 +66,7 @@ func TestPlanManyMatchesSequentialPlan(t *testing.T) {
 }
 
 func TestCacheHitMissAccounting(t *testing.T) {
-	// Shards pinned so per-shard memo capacity (64/4 = 16) cannot evict
-	// regardless of how the six fingerprints hash.
-	eng := New(Options{Workers: 2, CacheSize: 64, Shards: 4})
+	eng := New(Options{Workers: 2, CacheSize: 64})
 	defer eng.Close()
 	reqs := testRequests(t, 6)
 	ctx := context.Background()
@@ -130,9 +130,7 @@ func TestCacheReturnsIndependentCopies(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard: LRU order over the whole request stream is only
-	// well-defined when a single memo sees every request.
-	eng := New(Options{Workers: 2, CacheSize: 4, Shards: 1})
+	eng := New(Options{Workers: 2, CacheSize: 4})
 	defer eng.Close()
 	reqs := testRequests(t, 8)
 	ctx := context.Background()
@@ -437,14 +435,10 @@ func TestStatsUnknownAlgorithmsLumpedAsOther(t *testing.T) {
 
 // TestStatsKernelPooling: the engine's workers solve through one shared
 // kernel, so a batch of distinct requests must show arena recycling in
-// Stats, and an injected kernel must be the one reported.
+// Stats, and Stats must report the kernel Kernel returns.
 func TestStatsKernelPooling(t *testing.T) {
-	kern := core.NewKernel()
-	e := New(Options{Workers: 2, CacheSize: -1, Kernel: kern})
+	e := New(Options{Workers: 2, CacheSize: -1})
 	defer e.Close()
-	if e.Kernel() != kern {
-		t.Fatal("injected kernel not adopted")
-	}
 	reqs := testRequests(t, 24)
 	for _, r := range e.PlanMany(context.Background(), reqs) {
 		if r.Err != nil {
@@ -454,6 +448,9 @@ func TestStatsKernelPooling(t *testing.T) {
 	st := e.Stats()
 	if st.Kernel.Solves != 24 {
 		t.Errorf("kernel solves = %d, want 24 (cache disabled)", st.Kernel.Solves)
+	}
+	if ks := e.Kernel().Stats(); ks.Solves != st.Kernel.Solves || ks.ScratchReuses != st.Kernel.ScratchReuses {
+		t.Errorf("Stats.Kernel %+v disagrees with Kernel().Stats() %+v", st.Kernel, ks)
 	}
 	if st.Kernel.ScratchReuses == 0 {
 		t.Errorf("no arena reuse across 24 solves: %+v", st.Kernel)
@@ -467,5 +464,135 @@ func TestStatsKernelPooling(t *testing.T) {
 	}
 	if total != st.Kernel.ScratchFresh+st.Kernel.ScratchReuses {
 		t.Errorf("bucket totals %d disagree with counters %+v", total, st.Kernel)
+	}
+}
+
+// TestShardedStressAccountingAndSingleflight is the race-mode stress
+// property on the one memo: 32 goroutines hammer one engine with
+// overlapping fingerprints, and afterwards (a) the memo-hit accounting
+// is exact — every request is a hit or a miss, and each distinct
+// instance missed exactly once — and (b) the singleflight table leaked
+// nothing: every memo entry is finalized and the map and LRU list
+// agree.
+func TestShardedStressAccountingAndSingleflight(t *testing.T) {
+	const (
+		goroutines = 32
+		rounds     = 20
+		distinct   = 8
+	)
+	eng := New(Options{Workers: 4, CacheSize: 256})
+	defer eng.Close()
+	reqs := testRequests(t, distinct)
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				req := reqs[(g+r)%distinct]
+				if _, err := eng.Plan(context.Background(), req); err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, r, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := eng.Stats()
+	if st.Requests != goroutines*rounds {
+		t.Fatalf("requests = %d, want %d", st.Requests, goroutines*rounds)
+	}
+	if st.CacheHits+st.CacheMisses != st.Requests {
+		t.Errorf("hits %d + misses %d != requests %d", st.CacheHits, st.CacheMisses, st.Requests)
+	}
+	// Each distinct fingerprint enters the memo once and is never
+	// evicted (capacity 256 >> 8 keys), so misses equal the distinct
+	// instance count no matter how the 640 plans interleaved —
+	// coalesced duplicates count as hits.
+	if st.CacheMisses != distinct {
+		t.Errorf("misses = %d, want %d (one per distinct instance)", st.CacheMisses, distinct)
+	}
+	if st.Evictions != 0 || st.Errors != 0 {
+		t.Errorf("stress run evicted %d / errored %d, want 0/0", st.Evictions, st.Errors)
+	}
+
+	// Singleflight-leak check (white box): every cached entry must be
+	// finalized (done closed, result present), and the map and LRU list
+	// must agree.
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if len(eng.cache) != eng.order.Len() || len(eng.cache) != distinct {
+		t.Errorf("memo map has %d entries, LRU list %d, want %d", len(eng.cache), eng.order.Len(), distinct)
+	}
+	for _, el := range eng.cache {
+		ent := el.Value.(*entry)
+		select {
+		case <-ent.done:
+		default:
+			t.Error("entry still in flight after all callers returned")
+		}
+		if ent.res == nil || ent.err != nil {
+			t.Errorf("finalized entry has res=%v err=%v", ent.res, ent.err)
+		}
+	}
+}
+
+// TestPlanManyNotBlockedByBusyWorker: any free worker takes the next
+// miss. With one of two workers held by a blocking pool job, a batch of
+// 8 distinct misses must finish on the other worker; routing misses to
+// per-worker queues would leave some waiting behind the held worker.
+func TestPlanManyNotBlockedByBusyWorker(t *testing.T) {
+	eng := New(Options{Workers: 2})
+	defer eng.Close()
+	release := make(chan struct{})
+	defer close(release)
+	// submit returns once a worker has taken the job, so that worker is
+	// held from here until release closes.
+	if err := eng.submit(context.Background(), func() { <-release }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, resp := range eng.PlanMany(ctx, testRequests(t, 8)) {
+		if resp.Err != nil {
+			t.Fatalf("request %d: %v (stuck behind the held worker)", i, resp.Err)
+		}
+		if resp.Cached {
+			t.Errorf("request %d was served from the memo; want 8 distinct misses", i)
+		}
+	}
+}
+
+// TestRunPumpsDrainSharedQueue: Run must not pre-assign tasks to
+// workers. With two workers, task 0 parks its worker until the final
+// task has run; if tasks were dealt round-robin with a blocking submit
+// loop, the final task would never be submitted and Run would deadlock.
+// The shared task queue lets the free worker's pump absorb every
+// remaining task.
+func TestRunPumpsDrainSharedQueue(t *testing.T) {
+	eng := New(Options{Workers: 2})
+	defer eng.Close()
+	release := make(chan struct{})
+	const n = 12
+	var ran atomic.Int32
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := eng.Run(ctx, n, func(i int) error {
+		if i == 0 {
+			<-release // parks one worker
+			return nil
+		}
+		if ran.Add(1) == n-1 {
+			close(release) // the last other task frees task 0
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v (a round-robin Run deadlocks here until the ctx timeout)", err)
+	}
+	if got := ran.Load(); got != n-1 {
+		t.Errorf("ran %d of %d non-blocking tasks", got, n-1)
 	}
 }

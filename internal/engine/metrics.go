@@ -1,27 +1,22 @@
 package engine
 
-import (
-	"strconv"
+import "chainckpt/internal/obs"
 
-	"chainckpt/internal/obs"
-)
-
-// Metrics is the engine's slice of the observability plane: per-shard
-// latency histograms and work-stealing counters, resolved to concrete
-// children once per shard at construction so the hot paths never touch
-// a label map. A nil *Metrics (the default) costs one nil check per
-// instrumented site — benchmarks and library callers that do not wire
-// a registry pay nothing.
+// Metrics is the engine's slice of the observability plane: the pool's
+// queue-wait and solve-latency histograms, resolved once at
+// construction so the hot paths never touch a label map. A nil
+// *Metrics (the default) costs one nil check per instrumented site —
+// benchmarks and library callers that do not wire a registry pay
+// nothing.
 type Metrics struct {
-	// QueueWait measures how long a planning job waited for a shard
-	// pool slot — the engine's admission signal.
-	QueueWait *obs.HistogramVec
-	// SolveLatency measures dynamic-program solve time per shard,
-	// cache misses only (hits never reach the kernel).
+	// QueueWait measures how long a planning job waited for a pool
+	// slot — the engine's admission signal.
+	QueueWait *obs.Histogram
+	// SolveLatency measures dynamic-program solve time, cache misses
+	// only (hits never reach the kernel). Its one child is labelled
+	// shard="0" for ledgerbench's traced replay (trace.go), which
+	// resolves it by that label.
 	SolveLatency *obs.HistogramVec
-	// Steals counts Run tasks drained from the shared queue by each
-	// shard's pump: the work-stealing balance across shards.
-	Steals *obs.CounterVec
 }
 
 // NewMetrics registers the engine families on reg. A nil registry
@@ -31,21 +26,18 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		QueueWait: reg.NewHistogramVec("chainckpt_engine_queue_wait_seconds",
-			"Time a planning job waited for a shard pool slot.", nil, "shard"),
+		QueueWait: reg.NewHistogram("chainckpt_engine_queue_wait_seconds",
+			"Time a planning job waited for an engine pool slot.", nil),
 		SolveLatency: reg.NewHistogramVec("chainckpt_engine_solve_seconds",
-			"Dynamic-program solve latency per shard (cache misses only).", nil, "shard"),
-		Steals: reg.NewCounterVec("chainckpt_engine_steals_total",
-			"Run tasks drained from the shared work queue by each shard's pump.", "shard"),
+			"Dynamic-program solve latency (cache misses only).", nil, "shard"),
 	}
 }
 
-// shardChildren resolves the per-shard metric children for shard id;
-// all nil when m is nil.
-func (m *Metrics) shardChildren(id int) (queueWait, solveLat *obs.Histogram, steals *obs.Counter) {
+// instruments resolves the histograms the engine observes; both nil
+// when m is nil.
+func (m *Metrics) instruments() (queueWait, solveLat *obs.Histogram) {
 	if m == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	label := strconv.Itoa(id)
-	return m.QueueWait.With(label), m.SolveLatency.With(label), m.Steals.With(label)
+	return m.QueueWait, m.SolveLatency.With("0")
 }

@@ -111,7 +111,7 @@ type Figure struct {
 
 // Run sweeps n for one pattern/platform pair by streaming
 // frontier-sized windows of (n, algorithm) requests through the shared
-// batch engine (engine.Default, sharded across GOMAXPROCS memos): a
+// batch engine (engine.Default, one GOMAXPROCS-wide pool and memo): a
 // window's requests are planned concurrently via Engine.Stream, each
 // result is condensed into its Point as it drains (only the largest-n
 // schedules survive the window), and the window's chain, request and

@@ -66,7 +66,7 @@ type waiter struct {
 	abandoned bool
 }
 
-// Controller is the bounded admission gate ahead of the shard pools.
+// Controller is the bounded admission gate ahead of the engine pool.
 // Admit blocks until an execution slot is granted, the context ends,
 // or the request is shed; the returned release function must be called
 // exactly once when the admitted work finishes. Interactive waiters

@@ -9,7 +9,7 @@
 //     where 1.0 means the error budget is being consumed exactly at the
 //     rate that exhausts it at the window's end.
 //   - Controller (admission.go) is a bounded admission gate ahead of
-//     the shard pools: two priority classes, per-request deadlines, and
+//     the engine pool: two priority classes, per-request deadlines, and
 //     burn-rate-coupled load-shedding that drops batch work first.
 //
 // Determinism bar: nothing in this package may change plan bytes.

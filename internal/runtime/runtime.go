@@ -47,14 +47,12 @@ import (
 // Options configures a Supervisor.
 type Options struct {
 	// Engine plans initial schedules (default: the shared process-wide
-	// engine, sharded across per-core memos), so identical jobs are
-	// served from its memo whichever shard they hash to.
+	// engine), so identical jobs are served from its memo.
 	Engine *engine.Engine
 	// Kernel re-solves suffixes during adaptive runs (default: the
-	// engine's replan kernel — shard 0's, or the injected shared one —
-	// sharing its scratch pools). Suffix re-plans call it directly —
-	// each is specific to the run's observed rates and committed
-	// prefix, so there is nothing for the engine to memoize.
+	// engine's kernel, sharing its scratch pools). Suffix re-plans call
+	// it directly — each is specific to the run's observed rates and
+	// committed prefix, so there is nothing for the engine to memoize.
 	Kernel *core.Kernel
 	// Metrics, when non-nil, wires every run into an obs registry:
 	// task/verification/checkpoint-commit latency histograms, fsync
