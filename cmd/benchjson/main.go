@@ -204,17 +204,19 @@ func lookup(idx map[string]Benchmark, name string) (Benchmark, bool) {
 	return b, ok
 }
 
-// parallelSpeedup returns the serial/team ns-per-op ratio of one
-// kernel solve benchmark family (BenchmarkKernelParallelSolve or
-// BenchmarkKernelStealSolve) at one shape label — "n2000", or the
-// "skew" lane of the steal bench: the run's measured in-kernel parallel
-// speedup. It is bounded by the core count of the machine that ran it,
-// so a baseline recorded with N CPUs gates only runs with at least N: a
-// 1-CPU run of the committed 2-vCPU baseline measures ~1.0 against a
-// ~1.8 recording and fails.
-func parallelSpeedup(idx map[string]Benchmark, bench, shapeLabel, wLabel string) (float64, bool) {
-	serial, ok1 := lookup(idx, bench+"/"+shapeLabel+"/w1")
-	team, ok2 := lookup(idx, bench+"/"+shapeLabel+"/"+wLabel)
+// parallelBench is the kernel solve benchmark family whose in-kernel
+// speedup is gated.
+const parallelBench = "BenchmarkKernelParallelSolve"
+
+// parallelSpeedup returns the w1/w4 ns-per-op ratio of parallelBench at
+// one shape label — "n4000", or the "skew" lane: the run's measured
+// in-kernel parallel speedup. It is bounded by the core count of the
+// machine that ran it, so a baseline recorded with N CPUs gates only
+// runs with at least N: a 1-CPU run of the committed 2-vCPU baseline
+// measures ~1.0 against a ~1.8 recording and fails.
+func parallelSpeedup(idx map[string]Benchmark, shapeLabel string) (float64, bool) {
+	serial, ok1 := lookup(idx, parallelBench+"/"+shapeLabel+"/w1")
+	team, ok2 := lookup(idx, parallelBench+"/"+shapeLabel+"/w4")
 	if !ok1 || !ok2 || serial.NsPerOp <= 0 || team.NsPerOp <= 0 {
 		return 0, false
 	}
@@ -222,12 +224,12 @@ func parallelSpeedup(idx map[string]Benchmark, bench, shapeLabel, wLabel string)
 }
 
 // largestParallelN returns the biggest chain-length label ("n4000")
-// present among a report's results for one benchmark family.
-func largestParallelN(rep *Report, bench string) (string, bool) {
+// present among a report's parallelBench results.
+func largestParallelN(rep *Report) (string, bool) {
 	best := -1
 	for _, b := range rep.Benchmarks {
 		name := trimCPUSuffix(b.Name)
-		rest, ok := strings.CutPrefix(name, bench+"/n")
+		rest, ok := strings.CutPrefix(name, parallelBench+"/n")
 		if !ok {
 			continue
 		}
@@ -270,16 +272,11 @@ func checkRegression(cur, base *Report, tol float64) []string {
 		}
 	}
 
-	// The serial lane of the parallel- and steal-solve benchmarks must
-	// stay pooled too: a worker team thrashing fresh arenas shows up
-	// here first.
+	// The serial lane of the parallel-solve benchmark must stay pooled
+	// too: a worker team thrashing fresh arenas shows up here first.
 	for _, bb := range base.Benchmarks {
 		name := trimCPUSuffix(bb.Name)
-		if !strings.HasPrefix(name, "BenchmarkKernelParallelSolve/") &&
-			!strings.HasPrefix(name, "BenchmarkKernelStealSolve/") {
-			continue
-		}
-		if !strings.HasSuffix(name, "/w1") {
+		if !strings.HasPrefix(name, parallelBench+"/") || !strings.HasSuffix(name, "/w1") {
 			continue
 		}
 		cb, ok := lookup(curIdx, bb.Name)
@@ -293,36 +290,29 @@ func checkRegression(cur, base *Report, tol float64) []string {
 		}
 	}
 
+	// The in-kernel parallel speedup at the largest benched chain and on
+	// the skewed lane: a within-run ratio, robust to the baseline and the
+	// current run living on different hardware.
 	baseIdx := indexByName(base)
-	// The in-kernel parallel speedup at the largest benched chain of
-	// each solve family — the shared-cursor curve, the steal-scheduler
-	// curve, and the steal bench's adversarial skew lane — a within-run
-	// ratio, robust to the baseline and the current run living on
-	// different hardware.
-	for _, bench := range []string{"BenchmarkKernelParallelSolve", "BenchmarkKernelStealSolve"} {
-		labels := make([]string, 0, 2)
-		if nLabel, ok := largestParallelN(base, bench); ok {
-			labels = append(labels, nLabel)
+	labels := []string{"skew"}
+	if nLabel, ok := largestParallelN(base); ok {
+		labels = append(labels, nLabel)
+	}
+	for _, label := range labels {
+		baseRatio, ok := parallelSpeedup(baseIdx, label)
+		if !ok {
+			continue
 		}
-		if bench == "BenchmarkKernelStealSolve" {
-			labels = append(labels, "skew")
+		curRatio, ok := parallelSpeedup(curIdx, label)
+		if !ok {
+			problems = append(problems, fmt.Sprintf(
+				"%s %s: present in baseline but missing from this run", parallelBench, label))
+			continue
 		}
-		for _, label := range labels {
-			baseRatio, ok := parallelSpeedup(baseIdx, bench, label, "w4")
-			if !ok {
-				continue
-			}
-			curRatio, ok := parallelSpeedup(curIdx, bench, label, "w4")
-			if !ok {
-				problems = append(problems, fmt.Sprintf(
-					"%s %s: present in baseline but missing from this run", bench, label))
-				continue
-			}
-			if curRatio < baseRatio*(1-tol) {
-				problems = append(problems, fmt.Sprintf(
-					"%s %s: w1/w4 speedup %.2f vs baseline %.2f (>%.0f%% regression)",
-					bench, label, curRatio, baseRatio, 100*tol))
-			}
+		if curRatio < baseRatio*(1-tol) {
+			problems = append(problems, fmt.Sprintf(
+				"%s %s: w1/w4 speedup %.2f vs baseline %.2f (>%.0f%% regression)",
+				parallelBench, label, curRatio, baseRatio, 100*tol))
 		}
 	}
 	return problems

@@ -57,7 +57,7 @@ func TestTrimCPUSuffix(t *testing.T) {
 		{"BenchmarkKernelPlan/ADMVStar-50", "BenchmarkKernelPlan/ADMVStar"}, // one trim step; lookup tries raw first
 		{"BenchmarkReplanSuffix-8", "BenchmarkReplanSuffix"},
 		{"BenchmarkReplanSuffix", "BenchmarkReplanSuffix"},
-		{"BenchmarkKernelStealSolve/skew/w4-4", "BenchmarkKernelStealSolve/skew/w4"},
+		{"BenchmarkKernelParallelSolve/skew/w4-4", "BenchmarkKernelParallelSolve/skew/w4"},
 		{"BenchmarkFoo-", "BenchmarkFoo-"},
 	} {
 		if got := trimCPUSuffix(tc.in); got != tc.want {
@@ -94,57 +94,57 @@ func TestCheckRegressionKernelAllocs(t *testing.T) {
 	}
 }
 
-func TestCheckRegressionStealSpeedup(t *testing.T) {
+func TestCheckRegressionParallelSpeedup(t *testing.T) {
 	base := report(
-		Benchmark{Name: "BenchmarkKernelStealSolve/n500/w1", NsPerOp: 100, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n500/w4", NsPerOp: 90},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w1", NsPerOp: 4000, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w4", NsPerOp: 1000}, // 4x at the largest n
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w4", NsPerOp: 100}, // 3x on the skewed shape
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n1000/w1", NsPerOp: 100, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n1000/w4", NsPerOp: 90},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w1", NsPerOp: 4000, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w4", NsPerOp: 1000}, // 4x at the largest n
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w4", NsPerOp: 100}, // 3x on the skewed shape
 	)
 	// Same ratios at different absolute speeds: fine across machines.
-	// Only the largest n is gated, so n500 may drift.
+	// Only the largest n is gated, so n1000 may drift.
 	ok := report(
-		Benchmark{Name: "BenchmarkKernelStealSolve/n500/w1-8", NsPerOp: 500, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n500/w4-8", NsPerOp: 900},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w1-8", NsPerOp: 40000, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w4-8", NsPerOp: 10000},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w1-8", NsPerOp: 3000, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w4-8", NsPerOp: 1000},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n1000/w1-8", NsPerOp: 500, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n1000/w4-8", NsPerOp: 900},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w1-8", NsPerOp: 40000, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w4-8", NsPerOp: 10000},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w1-8", NsPerOp: 3000, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w4-8", NsPerOp: 1000},
 	)
 	if p := checkRegression(ok, base, 0.15); len(p) != 0 {
 		t.Errorf("unexpected regression: %v", p)
 	}
-	// The largest-n steal speedup collapsed 4x -> 2x: flagged.
+	// The largest-n speedup collapsed 4x -> 2x: flagged.
 	badCurve := report(
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w1", NsPerOp: 4000, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w4", NsPerOp: 2000},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w4", NsPerOp: 100},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w1", NsPerOp: 4000, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w4", NsPerOp: 2000},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w4", NsPerOp: 100},
 	)
 	if p := checkRegression(badCurve, base, 0.15); len(p) != 1 {
-		t.Errorf("steal curve regression not flagged: %v", p)
+		t.Errorf("curve regression not flagged: %v", p)
 	}
 	// The skew-lane speedup collapsed: flagged independently.
 	badSkew := report(
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w1", NsPerOp: 4000, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w4", NsPerOp: 1000},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w4", NsPerOp: 290},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w1", NsPerOp: 4000, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w4", NsPerOp: 1000},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w4", NsPerOp: 290},
 	)
 	if p := checkRegression(badSkew, base, 0.15); len(p) != 1 {
 		t.Errorf("skew regression not flagged: %v", p)
 	}
-	// The steal bench's serial lane stopped pooling: allocs gate fires.
+	// The serial lane stopped pooling: allocs gate fires.
 	badAllocs := report(
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w1", NsPerOp: 4000, AllocsPerOp: 400},
-		Benchmark{Name: "BenchmarkKernelStealSolve/n2000/w4", NsPerOp: 1000},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
-		Benchmark{Name: "BenchmarkKernelStealSolve/skew/w4", NsPerOp: 100},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w1", NsPerOp: 4000, AllocsPerOp: 400},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/n4000/w4", NsPerOp: 1000},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w1", NsPerOp: 300, AllocsPerOp: 19},
+		Benchmark{Name: "BenchmarkKernelParallelSolve/skew/w4", NsPerOp: 100},
 	)
 	if p := checkRegression(badAllocs, base, 0.15); len(p) != 1 {
-		t.Errorf("steal serial-lane alloc regression not flagged: %v", p)
+		t.Errorf("serial-lane alloc regression not flagged: %v", p)
 	}
 }
 

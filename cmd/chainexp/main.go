@@ -319,8 +319,8 @@ func main() {
 	if *statsDump {
 		fmt.Println("==================== metrics ====================")
 		par := engine.Default().Stats().Kernel.Parallel
-		fmt.Printf("kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d\n",
-			par.Solves, par.Tiles, par.LocalTiles, par.Steals)
+		fmt.Printf("kernel parallel: solves=%d tiles=%d busy_s=%.3f crossover_skips=%d\n",
+			par.Solves, par.Tiles, par.BusySeconds, par.CrossoverSkips)
 		reg.DumpText(os.Stdout)
 	}
 }

@@ -216,8 +216,8 @@ func run(cfg *config, w *os.File) error {
 			// both so the counters reflect every team dispatch.
 			kp := chainckpt.DefaultKernel().Stats().Parallel
 			ep := chainckpt.DefaultEngine().Stats().Kernel.Parallel
-			fmt.Fprintf(os.Stderr, "kernel parallel: solves=%d tiles=%d local_tiles=%d steals=%d\n",
-				kp.Solves+ep.Solves, kp.Tiles+ep.Tiles, kp.LocalTiles+ep.LocalTiles, kp.Steals+ep.Steals)
+			fmt.Fprintf(os.Stderr, "kernel parallel: solves=%d tiles=%d busy_s=%.3f crossover_skips=%d\n",
+				kp.Solves+ep.Solves, kp.Tiles+ep.Tiles, kp.BusySeconds+ep.BusySeconds, kp.CrossoverSkips+ep.CrossoverSkips)
 			reg.DumpText(os.Stderr)
 		}()
 	}

@@ -181,9 +181,9 @@ func (s *server) initObs() {
 		}, "cap")
 
 	// The in-kernel parallel solve (core.KernelParallelStats): how many
-	// solves engaged a worker team, the tile traffic and helper busy
-	// time behind them, and how often auto mode declined below the
-	// crossover length.
+	// solves engaged a worker team, the tiles they dispatched and the
+	// time participants spent running them, and how often auto mode
+	// declined below the crossover length.
 	counterFn("chainckpt_kernel_parallel_solves_total",
 		"Solves that engaged a worker team (SolveWorkers > 1, explicit or auto).",
 		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.Solves })
@@ -198,18 +198,9 @@ func (s *server) initObs() {
 			snap.mu.Unlock()
 			set.Set(v)
 		})
-	counterFn("chainckpt_kernel_local_tiles_total",
-		"Tiles claimed from the claimant's own span — the owner-computes fast path of the steal scheduler.",
-		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.LocalTiles })
-	counterFn("chainckpt_kernel_steal_total",
-		"Steal events in solver worker teams: half-span grabs plus leftover-tile claims by idle participants.",
-		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.Steals })
 	counterFn("chainckpt_kernel_parallel_crossover_skips_total",
 		"Auto-mode solves that stayed serial below the crossover window length.",
 		func(sn *scrapeSnapshot) uint64 { return sn.eng.Kernel.Parallel.CrossoverSkips })
-	gaugeFn("chainckpt_kernel_parallel_workers",
-		"Live solver team helpers (idle helpers retire after a minute).",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.eng.Kernel.Parallel.Workers) })
 
 	// Jobs and the supervisor.
 	counterFn("chainserve_jobs_total",

@@ -73,10 +73,20 @@ func TestMetricsExpositionLintsClean(t *testing.T) {
 		"chainckpt_kernel_parallel_tiles_total",
 		"chainckpt_kernel_parallel_busy_seconds_total",
 		"chainckpt_kernel_parallel_crossover_skips_total",
-		"chainckpt_kernel_parallel_workers",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The solve team schedules from one shared cursor and keeps no
+	// goroutines between solves: no span, steal or helper-pool families.
+	for _, gone := range []string{
+		"chainckpt_kernel_local_tiles_total",
+		"chainckpt_kernel_steal_total",
+		"chainckpt_kernel_parallel_workers",
+	} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics still export %q", gone)
 		}
 	}
 }

@@ -141,25 +141,15 @@ func TestCrossValParallelMatchesSerial(t *testing.T) {
 	if st.Parallel.Solves == 0 || st.Parallel.Tiles == 0 {
 		t.Fatalf("suite never engaged a worker team: %+v", st.Parallel)
 	}
-	// Every participant drains its own span before stealing, so the
-	// owner-computes fast path must account for claimed tiles.
-	if st.Parallel.LocalTiles == 0 {
-		t.Fatalf("steal scheduler claimed no local tiles: %+v", st.Parallel)
-	}
-	if st.Parallel.LocalTiles+st.Parallel.Steals > st.Parallel.Tiles {
-		t.Fatalf("more claims than tiles dispatched: %+v", st.Parallel)
-	}
 }
 
-// TestCrossValStealImbalance forces the imbalance the steal path exists
-// for: an unconstrained ADV chain's memory levels shrink quadratically
-// with d1, and the size-sorted schedule deliberately front-loads the
-// first owner span with the widest levels — so participants that drew
-// the narrow tail must steal to stay busy. Byte-identity must hold
-// through the steals, and the steal counter must actually move (on any
-// machine: with one core the caller drains the parked helpers' spans by
-// stealing; with many, the light spans finish early and steal back).
-func TestCrossValStealImbalance(t *testing.T) {
+// TestCrossValImbalance solves a deliberately imbalanced shape: an
+// unconstrained ADV chain's memory levels shrink quadratically with d1,
+// so one participant holding a wide level while the others race through
+// the narrow tail is the common case. Byte-identity must hold however
+// the shared cursor hands the tiles out, and the team must actually
+// have run.
+func TestCrossValImbalance(t *testing.T) {
 	n := 600
 	if raceEnabled {
 		n = 300
@@ -173,7 +163,6 @@ func TestCrossValStealImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := k.Stats().Parallel
 	for trial := 0; trial < 3; trial++ {
 		for _, w := range []int{2, 4, 8} {
 			opts.SolveWorkers = w
@@ -184,12 +173,8 @@ func TestCrossValStealImbalance(t *testing.T) {
 			mustMatchBits(t, fmt.Sprintf("imbalance trial=%d w=%d", trial, w), serial, par)
 		}
 	}
-	st := k.Stats().Parallel
-	if st.Steals == base.Steals {
-		t.Fatalf("no steals under forced imbalance: %+v", st)
-	}
-	if st.LocalTiles == base.LocalTiles {
-		t.Fatalf("no local claims under forced imbalance: %+v", st)
+	if st := k.Stats().Parallel; st.Solves == 0 || st.Tiles == 0 {
+		t.Fatalf("imbalanced solves never engaged a worker team: %+v", st)
 	}
 }
 

@@ -139,10 +139,10 @@ type Kernel struct {
 	solves  atomic.Uint64
 	buckets [48]kernelBucket
 
-	// team is the kernel's persistent solve team: helper goroutines that
-	// parallel solves (Options.SolveWorkers) tile their DP phases
-	// across. Spawned lazily on the first parallel solve, shed after an
-	// idle timeout; serial solves never touch it.
+	// team runs the DP phases of parallel solves (Options.SolveWorkers)
+	// and counts them. Each phase starts its own goroutines and waits
+	// for them, so the kernel keeps none between solves; serial solves
+	// never touch it.
 	team solveTeam
 }
 
@@ -177,24 +177,14 @@ type KernelParallelStats struct {
 	// Tiles counts tiles dispatched to the team across all DP phases
 	// (table build, memory levels, disk-level wavefronts).
 	Tiles uint64 `json:"tiles"`
-	// LocalTiles counts tiles claimed from the claimant's own span — the
-	// owner-computes fast path that touches only worker-local cache
-	// lines. Tiles - LocalTiles ran on stolen ranges.
-	LocalTiles uint64 `json:"local_tiles"`
-	// Steals counts steal events: half-span grabs by an idle participant
-	// plus single leftover tiles claimed off a victim. Zero on a
-	// perfectly balanced phase; the rebalancing traffic otherwise.
-	Steals uint64 `json:"steals"`
 	// BusySeconds accumulates the time solve participants (the calling
-	// goroutine and every helper) spent executing tiles.
+	// goroutine and the goroutines each phase starts) spent executing
+	// tiles.
 	BusySeconds float64 `json:"busy_seconds"`
 	// CrossoverSkips counts auto-mode solves (SolveWorkers: 0) that
 	// stayed serial — the window was below the crossover length or the
 	// machine has a single core.
 	CrossoverSkips uint64 `json:"crossover_skips"`
-	// Workers is the current number of live helper goroutines (a gauge:
-	// idle helpers retire after a timeout).
-	Workers int `json:"workers"`
 }
 
 // KernelBucketStats is one capacity class of a kernel's scratch pool.
@@ -260,11 +250,8 @@ func (k *Kernel) Stats() KernelStats {
 		Parallel: KernelParallelStats{
 			Solves:         k.team.solves.Load(),
 			Tiles:          k.team.tiles.Load(),
-			LocalTiles:     k.team.localTiles.Load(),
-			Steals:         k.team.steals.Load(),
 			BusySeconds:    float64(k.team.busyNs.Load()) / 1e9,
 			CrossoverSkips: k.team.skips.Load(),
-			Workers:        k.team.liveWorkers(),
 		},
 	}
 	for i := range k.buckets {

@@ -139,22 +139,36 @@ func warmKernel(b *testing.B, alg Algorithm, c *chain.Chain, p platform.Platform
 }
 
 // BenchmarkKernelParallelSolve is the speedup curve of the in-kernel
-// worker team on the mega-chain shape it exists for: ADV* with disk
-// checkpoints restricted to sparse boundaries and a 32-checkpoint
-// budget, so the memory level between allowed positions — the phase the
-// team tiles across disk positions — carries the DP work instead of the
-// serial-friendly unconstrained disk level. The allowed-boundary
-// spacing scales as n/25 (floor 8) so a single iteration at n=4000
-// stays in whole seconds instead of half a minute while still exposing
-// ~25 heavily imbalanced memory levels for the team to tile; at that
-// size the segment-table build (also tiled across the team) carries a
-// comparable share of the runtime.
-// Sub-benchmarks sweep n × team width; the w1/w4 ratio at the largest
-// n is the speedup gate cmd/benchjson tracks (a 2-vCPU host records
-// about 1.8x; a 1-core builder records a flat curve, so the gate needs
-// at least 2 CPUs).
+// worker team, on two shapes. The n*/w* curve is the mega-chain shape
+// the team exists for: ADV* with disk checkpoints restricted to sparse
+// boundaries and a 32-checkpoint budget, so the memory level between
+// allowed positions — the phase the team tiles across disk positions —
+// carries the DP work instead of the serial-friendly unconstrained disk
+// level. The allowed-boundary spacing scales as n/25 (floor 8) so a
+// single iteration at n=4000 stays in whole seconds instead of half a
+// minute while still exposing ~25 heavily imbalanced memory levels for
+// the team to tile; at that size the segment-table build (also tiled
+// across the team) carries a comparable share of the runtime. The
+// skew/* pair is an UNCONSTRAINED ADV chain whose memory level at disk
+// position d1 costs O((n-d1)²): the most uneven tile costs any phase
+// has, which the widest-first order and the shared cursor must even out.
+// cmd/benchjson gates the w1/w4 ratio at the largest n and on the skew
+// pair (a 2-vCPU host records about 1.8-2x; a 1-core builder records a
+// flat curve, so the gate needs at least 2 CPUs), plus the w1 lanes'
+// allocs/op.
 func BenchmarkKernelParallelSolve(b *testing.B) {
 	p := platform.Hera()
+	solve := func(name string, c *chain.Chain, opts Options) {
+		b.Run(name, func(b *testing.B) {
+			k := warmKernel(b, AlgADV, c, p, opts)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := k.PlanOpts(AlgADV, c, p, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{200, 1000, 4000} {
 		c := benchChain(b, n)
 		cons, err := NewConstraints(n)
@@ -171,72 +185,12 @@ func BenchmarkKernelParallelSolve(b *testing.B) {
 			}
 		}
 		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
-				opts := Options{Constraints: cons, MaxDiskCheckpoints: 32, SolveWorkers: w}
-				k := warmKernel(b, AlgADV, c, p, opts)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := k.PlanOpts(AlgADV, c, p, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkKernelStealSolve exercises the steal lane of the team
-// scheduler two ways. The n*/w* curve is the sparse-disk mega-chain
-// shape (as BenchmarkKernelParallelSolve, smaller sizes) under the
-// owner-computes span scheduler; its w1/w4 ratio at the largest n is
-// the steal-lane speedup gate cmd/benchjson tracks. The skew/* pair is
-// the adversarial shape the stealing exists for: an UNCONSTRAINED ADV
-// chain whose memory level at disk position d1 costs O((n-d1)^2), so
-// contiguous uniform spans hand one owner quadratically more work than
-// another and only stealing rebalances it — size-sorted scheduling
-// front-loads the wide levels, the narrow-tail owners go idle first and
-// steal the remainder.
-func BenchmarkKernelStealSolve(b *testing.B) {
-	p := platform.Hera()
-	for _, n := range []int{500, 2000} {
-		c := benchChain(b, n)
-		cons, err := NewConstraints(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spacing := n / 25
-		if spacing < 8 {
-			spacing = 8
-		}
-		for i := 1; i < n; i++ {
-			if i%spacing != 0 {
-				cons.Forbid(i, schedule.Disk)
-			}
-		}
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
-				opts := Options{Constraints: cons, MaxDiskCheckpoints: 32, SolveWorkers: w}
-				k := warmKernel(b, AlgADV, c, p, opts)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := k.PlanOpts(AlgADV, c, p, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			solve(fmt.Sprintf("n%d/w%d", n, w), c,
+				Options{Constraints: cons, MaxDiskCheckpoints: 32, SolveWorkers: w})
 		}
 	}
 	cSkew := benchChain(b, 1000)
 	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("skew/w%d", w), func(b *testing.B) {
-			opts := Options{MaxDiskCheckpoints: 8, SolveWorkers: w}
-			k := warmKernel(b, AlgADV, cSkew, p, opts)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := k.PlanOpts(AlgADV, cSkew, p, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		solve(fmt.Sprintf("skew/w%d", w), cSkew, Options{MaxDiskCheckpoints: 8, SolveWorkers: w})
 	}
 }

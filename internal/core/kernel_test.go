@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"chainckpt/internal/chain"
 	"chainckpt/internal/platform"
@@ -162,6 +164,32 @@ func TestKernelWorkersIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqualResults(t, string(alg), serial, parallel)
+	}
+}
+
+// TestKernelTeamLeavesNoGoroutines checks that a parallel solve starts
+// its participants per phase and waits for them: once PlanOpts returns,
+// the goroutine count must settle back to where it was before the solve
+// (briefly polled, since a participant exits just after it signals
+// done), rather than leaving helpers parked on the kernel.
+func TestKernelTeamLeavesNoGoroutines(t *testing.T) {
+	k := NewKernel()
+	p := hotPlatform()
+	c := randChain(t, rand.New(rand.NewSource(7)), 64)
+	before := runtime.NumGoroutine()
+	if _, err := k.PlanOpts(AlgADMVStar, c, p, Options{SolveWorkers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.Stats().Parallel; st.Solves != 1 || st.Tiles == 0 {
+		t.Fatalf("solve never engaged the team: %+v", st)
+	}
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("%d goroutines outlived the solve (%d before, %d after)", after-before, before, after)
 	}
 }
 

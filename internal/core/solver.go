@@ -461,10 +461,11 @@ func (s *solver) memLevel(d1 int, emem []float64, mprev []int) {
 // positions, sorted by a work estimate for each level (verified rows it
 // will fill times the window width — roughly the cells it touches)
 // descending, ties broken ascending-d1 so the order is deterministic.
-// Dispatching the widest levels first keeps the finishing tail short:
-// a straggler that claimed a huge level last would serialize the whole
-// phase behind it. The order is pure scheduling — every level writes
-// only its own row, so any permutation yields byte-identical plans.
+// The team's shared cursor claims tiles in this order, which makes it
+// longest-processing-time-first scheduling: a straggler that claimed a
+// huge level last would serialize the whole phase behind it. The order
+// is pure scheduling — every level writes only its own row, so any
+// permutation yields byte-identical plans.
 func (s *solver) memLevelOrder() []int {
 	n := s.n
 	order := make([]int, 0, n)
@@ -555,7 +556,7 @@ func (s *solver) run() (*Result, error) {
 		workers = n
 	}
 	if workers <= 1 {
-		// Serial fast path: no goroutines or channel traffic. Batch
+		// Serial fast path: no goroutines or closures. Batch
 		// schedulers that already run one solver per worker use this.
 		for d1 := 0; d1 < n; d1++ {
 			if s.mayDisk(d1) {
@@ -570,9 +571,9 @@ func (s *solver) run() (*Result, error) {
 		// Each tile is one memory level; every level writes only row d1
 		// of the arenas, so arrival order is invisible. The schedule is
 		// dense (forbidden boundaries never become tiles) and work-size-
-		// sorted: the widest levels sit at the front of the owner spans,
-		// so the deliberate imbalance is ironed out by stealing and the
-		// finishing tail stays short.
+		// sorted: the shared cursor hands out the widest levels first,
+		// so the narrow ones fill in behind them and the finishing tail
+		// stays short.
 		row := func(d1 int) {
 			emem := dp.ememBuf[d1*stride : (d1+1)*stride : (d1+1)*stride]
 			mprev := dp.mprvBuf[d1*stride : (d1+1)*stride : (d1+1)*stride]
