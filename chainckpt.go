@@ -468,9 +468,11 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func NewTracer(keep int) *Tracer { return obs.NewTracer(keep) }
 
 // EngineMetrics and RuntimeMetrics are the per-layer metric bundles:
-// pass them via EngineOptions.Metrics / SupervisorOptions.Metrics to
-// fill the engine's queue-wait and solve-latency histograms, and task /
-// verification / checkpoint-commit / recovery timings, on reg.
+// pass each to one engine or supervisor via EngineOptions.Metrics /
+// SupervisorOptions.Metrics to fill the engine's queue-wait and
+// solve-latency histograms and its cache and kernel counters, and task
+// / verification / checkpoint-commit / recovery timings and re-plan
+// counts, on reg.
 type EngineMetrics = engine.Metrics
 type RuntimeMetrics = runtime.Metrics
 

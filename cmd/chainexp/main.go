@@ -318,9 +318,6 @@ func main() {
 
 	if *statsDump {
 		fmt.Println("==================== metrics ====================")
-		par := engine.Default().Stats().Kernel.Parallel
-		fmt.Printf("kernel parallel: solves=%d tiles=%d busy_s=%.3f crossover_skips=%d\n",
-			par.Solves, par.Tiles, par.BusySeconds, par.CrossoverSkips)
 		reg.DumpText(os.Stdout)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chainckpt/internal/chain"
@@ -327,7 +326,11 @@ type jobManager struct {
 	store    jobstore.Store
 	ckptRoot string // per-job checkpoint directories ("" = volatile)
 
-	storeErrors atomic.Uint64
+	// accepted counts every job create admitted in this service life
+	// (retained or since evicted); storeErrors counts failed store
+	// writes. Both are nil-safe, registered by the server's initObs.
+	accepted    *obs.Counter
+	storeErrors *obs.Counter
 }
 
 // newJobManager builds a manager over the given durable store. Job
@@ -414,6 +417,7 @@ func (m *jobManager) create(st jobStatus, spec, sched json.RawMessage, fingerpri
 		return nil, 0, errTooManyJobs
 	}
 	evicted := m.evictLocked()
+	m.accepted.Inc()
 	m.seq++
 	seq := m.seq
 	seed := reqSeed
@@ -625,17 +629,16 @@ func (m *jobManager) list() []jobStatus {
 	return out
 }
 
-func (m *jobManager) counts() (total, running int) {
+func (m *jobManager) running() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	running := 0
 	for _, j := range m.jobs {
-		j.mu.Lock()
-		if !j.done {
+		if !j.isDone() {
 			running++
 		}
-		j.mu.Unlock()
 	}
-	return len(m.jobs), running
+	return running
 }
 
 // launch starts the job's execution goroutine, wiring the event

@@ -271,14 +271,13 @@ type server struct {
 	// <id>.json in canonical form.
 	recordDir string
 
-	httpRequests *obs.Counter
-	planErrors   *obs.Counter
-	jobErrors    *obs.Counter
-	jobsResumed  *obs.Counter
-	replans      *obs.Counter
-	routeReqs    *obs.CounterVec
-	routeLat     *obs.HistogramVec
-	reqSeq       atomic.Uint64
+	planErrors  *obs.Counter
+	jobErrors   *obs.Counter
+	jobsResumed *obs.Counter
+	replans     *obs.Counter
+	routeReqs   *obs.CounterVec
+	routeLat    *obs.HistogramVec
+	reqSeq      atomic.Uint64
 
 	// The ops plane (ops.go): admission gate ahead of the engine pool
 	// and SLO burn-rate tracker over the route histograms.

@@ -156,7 +156,7 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestHealthMetricsPlatforms(t *testing.T) {
-	_, ts := newTestServer(t)
+	_, ts := newInstrumentedServer(t)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -174,10 +174,10 @@ func TestHealthMetricsPlatforms(t *testing.T) {
 	}
 	metrics := readAll(t, resp)
 	for _, want := range []string{
-		"chainserve_http_requests_total",
-		"chainserve_engine_requests_total 1",
-		"chainserve_engine_cache_misses_total 1",
-		"chainserve_uptime_seconds",
+		`chainckpt_http_route_requests_total{route="plan",code="200"} 1`,
+		"chainckpt_engine_requests_total 1",
+		"chainckpt_engine_cache_misses_total 1",
+		"chainckpt_http_uptime_seconds",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
@@ -215,9 +215,9 @@ func TestMetricsShardGauges(t *testing.T) {
 	}
 	metrics := readAll(t, resp)
 	for _, want := range []string{
-		"chainserve_engine_cache_misses_total 3",
-		"chainserve_engine_cache_hits_total 1",
-		"chainserve_engine_cache_entries 3",
+		"chainckpt_engine_cache_misses_total 3",
+		"chainckpt_engine_cache_hits_total 1",
+		"chainckpt_engine_cache_entries 3",
 		`chainckpt_engine_solve_seconds_count{shard="0"} 3`,
 		"chainckpt_engine_queue_wait_seconds_count 3",
 	} {
@@ -225,7 +225,7 @@ func TestMetricsShardGauges(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	if strings.Contains(metrics, "chainserve_engine_shard") {
+	if strings.Contains(metrics, "_engine_shard") {
 		t.Error("per-shard engine families are still exported")
 	}
 }
@@ -411,8 +411,8 @@ func TestJobEndpointErrors(t *testing.T) {
 }
 
 func TestMetricsEngineAndJobGauges(t *testing.T) {
-	_, ts := newTestServer(t)
-	// Two identical plans: one miss, one hit -> ratio 0.5 for ADMV.
+	_, ts := newInstrumentedServer(t)
+	// Two identical plans: one miss, one hit.
 	postJSON(t, ts.URL+"/v1/plan", `{"platform":"Hera","pattern":"uniform","n":5}`)
 	postJSON(t, ts.URL+"/v1/plan", `{"platform":"Hera","pattern":"uniform","n":5}`)
 
@@ -422,18 +422,17 @@ func TestMetricsEngineAndJobGauges(t *testing.T) {
 	}
 	metrics := readAll(t, resp)
 	for _, want := range []string{
-		`chainserve_engine_plans_total{algorithm="ADMV"} 2`,
-		`chainserve_engine_plans_total{algorithm="ADV*"} 0`,
-		"chainserve_engine_cache_hit_ratio 0.5",
-		"chainserve_jobs_total 0",
-		"chainserve_jobs_running 0",
-		"chainserve_supervisor_replans_total",
-		"chainserve_job_errors_total",
-		"chainserve_jobs_resumed_total 0",
-		"chainserve_replan_requests_total 0",
-		"chainserve_jobstore_appends_total 0",
-		"chainserve_jobstore_jobs 0",
-		"chainserve_jobstore_errors_total 0",
+		`chainckpt_engine_plans_total{algorithm="ADMV"} 2`,
+		`chainckpt_engine_plans_total{algorithm="ADV*"} 0`,
+		"chainckpt_engine_requests_total 2",
+		"chainckpt_engine_cache_hits_total 1",
+		"chainckpt_jobs_total 0",
+		"chainckpt_jobs_running 0",
+		"chainckpt_runtime_replans_total 0",
+		"chainckpt_jobs_errors_total 0",
+		"chainckpt_jobs_resumed_total 0",
+		"chainckpt_http_replan_requests_total 0",
+		"chainckpt_jobs_store_errors_total 0",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
@@ -442,7 +441,7 @@ func TestMetricsEngineAndJobGauges(t *testing.T) {
 }
 
 func TestMetricsKernelScratchGauges(t *testing.T) {
-	_, ts := newTestServer(t)
+	_, ts := newInstrumentedServer(t)
 	// Three distinct instances of one size class: the first solve
 	// allocates an arena, the repeats recycle it (the plans differ, so
 	// the engine memo cannot serve them).
@@ -458,30 +457,50 @@ func TestMetricsKernelScratchGauges(t *testing.T) {
 	// Exact reuse counts depend on which worker's sync.Pool slot served
 	// each solve, so the split between fresh and reused is asserted only
 	// in aggregate (3 solves => 3 arena acquisitions, at least one
-	// fresh), while names, bucket gauge and labels are exact.
+	// fresh), while names, the one active size class and labels are
+	// exact.
 	for _, want := range []string{
-		"chainserve_kernel_solves_total 3",
-		"chainserve_kernel_scratch_fresh_total ",
-		"chainserve_kernel_scratch_reuses_total ",
-		"chainserve_kernel_scratch_buckets 1",
-		`chainserve_kernel_scratch_bucket_arenas_total{cap="8",kind="reused"} `,
-		`chainserve_kernel_scratch_bucket_arenas_total{cap="8",kind="fresh"} `,
+		"chainckpt_kernel_solves_total 3",
+		`chainckpt_kernel_scratch_bucket_arenas_total{cap="8",kind="reused"} `,
+		`chainckpt_kernel_scratch_bucket_arenas_total{cap="8",kind="fresh"} `,
+		`chainckpt_kernel_arena_bytes{cap="8"} `,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
+	if n := strings.Count(metrics, "\nchainckpt_kernel_arena_bytes{"); n != 1 {
+		t.Errorf("%d active scratch size classes, want 1:\n%s", n, metrics)
+	}
 	var fresh, reuses uint64
 	for _, line := range strings.Split(metrics, "\n") {
-		if v, ok := strings.CutPrefix(line, "chainserve_kernel_scratch_fresh_total "); ok {
+		if v, ok := strings.CutPrefix(line, `chainckpt_kernel_scratch_bucket_arenas_total{cap="8",kind="fresh"} `); ok {
 			fmt.Sscanf(v, "%d", &fresh)
 		}
-		if v, ok := strings.CutPrefix(line, "chainserve_kernel_scratch_reuses_total "); ok {
+		if v, ok := strings.CutPrefix(line, `chainckpt_kernel_scratch_bucket_arenas_total{cap="8",kind="reused"} `); ok {
 			fmt.Sscanf(v, "%d", &reuses)
 		}
 	}
 	if fresh < 1 || fresh+reuses != 3 {
 		t.Errorf("scratch accounting fresh=%d reuses=%d, want fresh>=1 and fresh+reuses=3", fresh, reuses)
+	}
+}
+
+// TestJobsTotalCountsEveryAcceptedJob: chainckpt_jobs_total counts
+// accepted jobs, not the retained ones — with the job table capped at
+// 2, five finished jobs still scrape as 5.
+func TestJobsTotalCountsEveryAcceptedJob(t *testing.T) {
+	srv, ts := newTestServer(t)
+	srv.jobs.maxJobs = 2
+	for i := 0; i < 5; i++ {
+		fetchTrace(t, ts.URL, recordedSpec)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics := readAll(t, resp); !strings.Contains(metrics, "\nchainckpt_jobs_total 5\n") {
+		t.Errorf("metrics do not count 5 accepted jobs:\n%s", metrics)
 	}
 }
 

@@ -7,9 +7,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,18 +60,17 @@ func TestMetricsExpositionLintsClean(t *testing.T) {
 		}
 	}
 	// The acceptance surface: latency histograms for HTTP routes,
-	// engine solves, checkpoint commits and journal appends, plus the
-	// legacy counters, all rendered from the registry.
+	// engine solves, checkpoint commits and journal appends, plus each
+	// layer's counters, all rendered from the registry.
 	for _, want := range []string{
-		`chainserve_http_request_seconds_bucket{route="plan",le="+Inf"}`,
-		`chainserve_http_route_requests_total{route="plan",code="200"} 1`,
-		`chainserve_http_route_requests_total{route="plan",code="400"} 1`,
+		`chainckpt_http_request_seconds_bucket{route="plan",le="+Inf"}`,
+		`chainckpt_http_route_requests_total{route="plan",code="200"} 1`,
+		`chainckpt_http_route_requests_total{route="plan",code="400"} 1`,
 		"# TYPE chainckpt_engine_solve_seconds histogram",
 		"# TYPE chainckpt_runtime_ckpt_commit_seconds histogram",
 		"# TYPE chainckpt_jobstore_append_seconds histogram",
-		"chainserve_http_requests_total",
-		"chainserve_engine_requests_total",
-		"chainserve_kernel_solves_total",
+		"chainckpt_engine_requests_total",
+		"chainckpt_kernel_solves_total",
 		"chainckpt_kernel_arena_bytes",
 		"chainckpt_kernel_parallel_tiles_total",
 		"chainckpt_kernel_parallel_busy_seconds_total",
@@ -78,9 +80,12 @@ func TestMetricsExpositionLintsClean(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The solve team schedules from one shared cursor and keeps no
-	// goroutines between solves: no span, steal or helper-pool families.
+	// Every family is a chainckpt_* series registered by its owning
+	// layer. The solve team schedules from one shared cursor and keeps
+	// no goroutines between solves: no span, steal or helper-pool
+	// families.
 	for _, gone := range []string{
+		"chainserve_",
 		"chainckpt_kernel_local_tiles_total",
 		"chainckpt_kernel_steal_total",
 		"chainckpt_kernel_parallel_workers",
@@ -250,4 +255,103 @@ func TestRecordingUnchangedByTracing(t *testing.T) {
 	if string(withTracing) != string(without) {
 		t.Fatal("recording bytes differ with tracing on vs off")
 	}
+}
+
+// TestMetricsReferenceMatchesScrape holds README's metrics reference
+// to the scrape of a fully wired server — a journal store, one plan
+// and one job: the first table lists exactly the families (and types)
+// the scrape renders, and the second lists the families that render
+// only once their first labelled sample exists, absent here.
+func TestMetricsReferenceMatchesScrape(t *testing.T) {
+	plane := newObsPlane()
+	dir := t.TempDir()
+	journal, err := jobstore.Open(dir+"/journal", jobstore.Options{NoSync: true, Metrics: plane.jobstore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { journal.Close() })
+	eng := engine.New(engine.Options{Workers: 2, Metrics: plane.engine})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(newServerWithObs(eng, journal, dir, plane).mux())
+	t.Cleanup(ts.Close)
+
+	postJSON(t, ts.URL+"/v1/plan", `{"algorithm":"ADMV","platform":"Hera","pattern":"uniform","n":12}`)
+	fetchTrace(t, ts.URL, recordedSpec)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scraped := map[string]string{}
+	for _, line := range strings.Split(readAll(t, resp), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			scraped[f[2]] = f[3]
+		}
+	}
+
+	tables := readmeMetricTables(t)
+	if len(tables) != 2 {
+		t.Fatalf("README metrics reference has %d tables, want 2", len(tables))
+	}
+	for name, kind := range tables[0] {
+		if got, ok := scraped[name]; !ok {
+			t.Errorf("README lists %s, the scrape has no such family", name)
+		} else if got != kind {
+			t.Errorf("README types %s as %s, the scrape as %s", name, kind, got)
+		}
+	}
+	for name := range scraped {
+		if _, ok := tables[0][name]; !ok {
+			t.Errorf("the scrape renders %s, README's table does not list it", name)
+		}
+	}
+	for name := range tables[1] {
+		if _, ok := scraped[name]; ok {
+			t.Errorf("README lists %s as rendered on first event, but it is already in the scrape", name)
+		}
+	}
+}
+
+// readmeMetricTables parses the tables of README's "Metrics reference"
+// section into one name -> type map per table.
+func readmeMetricTables(t *testing.T) []map[string]string {
+	t.Helper()
+	f, err := os.Open("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var tables []map[string]string
+	in, inTable := false, false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "### ") {
+			in = line == "### Metrics reference"
+			continue
+		}
+		if !in {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			inTable = false
+			continue
+		}
+		if !inTable {
+			tables = append(tables, map[string]string{})
+			inTable = true
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		if strings.ContainsAny(name, "{}, ") {
+			t.Fatalf("README row %q names more than one family", line)
+		}
+		if slices.ContainsFunc(tables, func(m map[string]string) bool { _, dup := m[name]; return dup }) {
+			t.Fatalf("README lists %s twice", name)
+		}
+		tables[len(tables)-1][name] = strings.TrimSpace(cells[2])
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return tables
 }

@@ -51,8 +51,10 @@ type Options struct {
 	// including in-flight request coalescing.
 	CacheSize int
 	// Metrics, when non-nil, wires the engine into an obs registry:
-	// queue-wait and solve-latency histograms (see NewMetrics). Nil
-	// means uninstrumented — every site degrades to a nil check.
+	// queue-wait and solve-latency histograms, and collectors over the
+	// engine's and its kernel's counters (see NewMetrics). Bind one
+	// Metrics to one engine. Nil means uninstrumented — every site
+	// degrades to a nil check.
 	Metrics *Metrics
 	// SolveWorkers is the per-solve DP parallelism applied to requests
 	// that do not pin their own (Request.Opts.SolveWorkers == 0). Zero
@@ -208,7 +210,7 @@ func New(opts Options) *Engine {
 	} else if opts.SolveWorkers < 0 {
 		e.solveWorkers = 0
 	}
-	e.queueWait, e.solveLat = opts.Metrics.instruments()
+	e.queueWait, e.solveLat = opts.Metrics.bind(e)
 	for w := 0; w < opts.Workers; w++ {
 		e.workers.Add(1)
 		go func() {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"chainckpt/internal/core"
+	"chainckpt/internal/obs"
 	"chainckpt/internal/platform"
 	"chainckpt/internal/workload"
 )
@@ -594,5 +596,66 @@ func TestRunPumpsDrainSharedQueue(t *testing.T) {
 	}
 	if got := ran.Load(); got != n-1 {
 		t.Errorf("ran %d of %d non-blocking tasks", got, n-1)
+	}
+}
+
+// TestMetricsCollectorsReadBoundEngine: NewMetrics registers the engine
+// and kernel counter families, which render nothing until New binds an
+// engine, and then read its counters at scrape time — safely while
+// planners run (the race detector covers the concurrent reads).
+func TestMetricsCollectorsReadBoundEngine(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	scrape := func() string {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Error(err)
+		}
+		return sb.String()
+	}
+	if out := scrape(); strings.Contains(out, "chainckpt_engine_requests_total") {
+		t.Fatalf("counter families render before an engine is bound:\n%s", out)
+	}
+
+	eng := New(Options{Workers: 2, Metrics: m})
+	defer eng.Close()
+	reqs := testRequests(t, 6)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				scrape()
+			}
+		}
+	}()
+	for _, resp := range eng.PlanMany(context.Background(), reqs) {
+		if resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	out := scrape()
+	if probs := obs.Lint(strings.NewReader(out)); len(probs) > 0 {
+		t.Fatalf("exposition fails lint: %v", probs)
+	}
+	for _, want := range []string{
+		"chainckpt_engine_requests_total 6",
+		"chainckpt_engine_cache_misses_total 6",
+		"chainckpt_engine_cache_entries 6",
+		`chainckpt_engine_plans_total{algorithm="ADMV"} 2`,
+		"chainckpt_kernel_solves_total 6",
+		"chainckpt_kernel_parallel_solves_total 0",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("scrape missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"chainckpt/internal/obs"
 )
 
 // openTest opens a journal with fsync off (tmpfs durability is not the
@@ -239,5 +242,39 @@ func TestJournalIgnoresStrayFiles(t *testing.T) {
 	re := openTest(t, dir, Options{})
 	if _, ok := re.Get("job-1"); !ok {
 		t.Fatal("record lost among stray files")
+	}
+}
+
+// TestMetricsFollowReopenedJournal: the collector families read the
+// journal Open bound last, so reopening a store on the same Metrics
+// (what a restart or the ledger's traced run does) rebinds them instead
+// of registering the families a second time.
+func TestMetricsFollowReopenedJournal(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
+	j := openTest(t, dir, Options{Metrics: m})
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := j.Append(rec(seq, 1, StateCreated)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	re := openTest(t, dir, Options{Metrics: m})
+	if err := re.Delete("job-2"); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"chainckpt_jobstore_replayed_total 3",
+		"chainckpt_jobstore_jobs 2",
+		"chainckpt_jobstore_append_seconds_count 4",
+	} {
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Errorf("scrape missing %q:\n%s", want, sb.String())
+		}
 	}
 }

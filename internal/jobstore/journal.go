@@ -66,8 +66,8 @@ type Options struct {
 	// kill the "process" mid-commit; production stores leave it nil.
 	Faults fault.Injector
 	// Metrics, when non-nil, wires the journal into an obs registry:
-	// append/fsync/compaction latency histograms (see NewMetrics). Nil
-	// means uninstrumented.
+	// append/fsync/compaction latency histograms and collectors over
+	// the journal's Stats (see NewMetrics). Nil means uninstrumented.
 	Metrics *Metrics
 }
 
@@ -138,6 +138,9 @@ func Open(dir string, opts Options) (*Journal, error) {
 	// never have new frames written after it.
 	if err := j.startSegment(maxIdx + 1); err != nil {
 		return nil, err
+	}
+	if opts.Metrics != nil {
+		opts.Metrics.journal.Store(j)
 	}
 	return j, nil
 }

@@ -13,12 +13,14 @@
 // The package is a leaf: it imports only the standard library, and
 // internal/core must never import it — the solver's warm path is gated
 // at 5 allocs/op and stays instrumentation-free by construction
-// (chainserve scrapes KernelStats into gauges from the outside).
+// (the engine, which owns its kernel, registers collectors over
+// KernelStats from the outside).
 package obs
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -293,15 +295,26 @@ func (r *Registry) runScrapeHooks() {
 	}
 }
 
-func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64) *family {
+// register creates a family, or fetches it when a plain instrument
+// (counter, gauge, histogram, vec) asks again with the identical
+// definition. Everything else panics: a kind, help, label or bucket
+// mismatch, and any second registration of a collector-driven family —
+// two call sites sharing one name would otherwise silently lose one of
+// them.
+func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64, collect func(LabelSetter)) *family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind {
+		switch {
+		case f.kind != kind:
 			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, kind, f.kind))
+		case f.help != help || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets):
+			panic(fmt.Sprintf("obs: metric %q re-registered with a different help, label set or bucket layout", name))
+		case f.collect != nil || collect != nil:
+			panic(fmt.Sprintf("obs: collector-driven metric %q registered twice", name))
 		}
 		return f
 	}
@@ -309,6 +322,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		name: name, help: help, kind: kind,
 		labels: labels, buckets: buckets,
 		children: make(map[string]*child),
+		collect:  collect,
 	}
 	r.families[name] = f
 	r.order = append(r.order, name)
@@ -346,7 +360,7 @@ func (f *family) childFor(values []string) *child {
 
 // NewCounter registers (or fetches) a single-series counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.register(name, help, KindCounter, nil, nil)
+	f := r.register(name, help, KindCounter, nil, nil, nil)
 	if f == nil {
 		return nil
 	}
@@ -355,7 +369,7 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 
 // NewGauge registers (or fetches) a single-series gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name, help, KindGauge, nil, nil)
+	f := r.register(name, help, KindGauge, nil, nil, nil)
 	if f == nil {
 		return nil
 	}
@@ -368,7 +382,7 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	f := r.register(name, help, KindHistogram, nil, buckets)
+	f := r.register(name, help, KindHistogram, nil, buckets, nil)
 	if f == nil {
 		return nil
 	}
@@ -386,7 +400,7 @@ type HistogramVec struct{ f *family }
 
 // NewCounterVec registers a counter family keyed by labels.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
-	f := r.register(name, help, KindCounter, labels, nil)
+	f := r.register(name, help, KindCounter, labels, nil, nil)
 	if f == nil {
 		return nil
 	}
@@ -395,7 +409,7 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 
 // NewGaugeVec registers a gauge family keyed by labels.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := r.register(name, help, KindGauge, labels, nil)
+	f := r.register(name, help, KindGauge, labels, nil, nil)
 	if f == nil {
 		return nil
 	}
@@ -408,7 +422,7 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels 
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	f := r.register(name, help, KindHistogram, labels, buckets)
+	f := r.register(name, help, KindHistogram, labels, buckets, nil)
 	if f == nil {
 		return nil
 	}
@@ -472,23 +486,17 @@ func (s familySetter) Reset() {
 
 // RegisterGaugeFunc registers a labeled gauge family whose children
 // are repopulated by collect at every scrape. collect runs with no
-// registry locks held.
+// registry locks held. A family name takes one collector: registering
+// it again panics.
 func (r *Registry) RegisterGaugeFunc(name, help string, collect func(set LabelSetter), labels ...string) {
-	f := r.register(name, help, KindGauge, labels, nil)
-	if f == nil {
-		return
-	}
-	f.collect = collect
+	r.register(name, help, KindGauge, labels, nil, collect)
 }
 
 // RegisterCounterFunc registers a labeled counter family whose
 // children are set from absolute values by collect at every scrape.
+// Like RegisterGaugeFunc, it panics on a second registration.
 func (r *Registry) RegisterCounterFunc(name, help string, collect func(set LabelSetter), labels ...string) {
-	f := r.register(name, help, KindCounter, labels, nil)
-	if f == nil {
-		return
-	}
-	f.collect = collect
+	r.register(name, help, KindCounter, labels, nil, collect)
 }
 
 // sortedFamilies snapshots the family list in registration order.

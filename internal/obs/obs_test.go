@@ -151,10 +151,12 @@ func TestExpositionLintsClean(t *testing.T) {
 	hv.With(`we"ird\label` + "\n").Observe(0.5)
 	cv := r.NewCounterVec("test_shard_total", "per shard", "shard")
 	cv.With("0").Inc()
+	sizes := map[string]float64{"24": 12, "48": 3}
 	r.RegisterGaugeFunc("test_sizes", "per-n sizes", func(set LabelSetter) {
 		set.Reset()
-		set.Set(12, "24")
-		set.Set(3, "48")
+		for n, v := range sizes {
+			set.Set(v, n)
+		}
 	}, "n")
 
 	scrapes := 0
@@ -181,15 +183,54 @@ func TestExpositionLintsClean(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// A second scrape with a shrunken collected label set drops stale
-	// children.
-	r.RegisterGaugeFunc("test_sizes", "per-n sizes", nil, "n") // no-op: same family
+	// A second scrape after the collector's label set shrank drops the
+	// stale child and keeps the live one.
+	delete(sizes, "48")
 	sb.Reset()
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if probs := Lint(strings.NewReader(sb.String())); len(probs) > 0 {
+	out = sb.String()
+	if probs := Lint(strings.NewReader(out)); len(probs) > 0 {
 		t.Fatalf("second scrape fails lint: %v", probs)
+	}
+	if !strings.Contains(out, `test_sizes{n="24"} 12`) || strings.Contains(out, `n="48"`) {
+		t.Fatalf("shrunken collector kept a stale child or lost the live one:\n%s", out)
+	}
+}
+
+// TestRegisterRefusesSecondDefinition: a plain instrument may be
+// fetched again under its identical definition, but a second collector
+// on one name, or a re-registration with another kind, help, label set
+// or bucket layout, panics instead of silently replacing the family.
+func TestRegisterRefusesSecondDefinition(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewCounter("test_total", "a counter")
+	if again := r.NewCounter("test_total", "a counter"); again != c {
+		t.Fatal("identical re-registration returned a different counter")
+	}
+	r.NewHistogramVec("test_seconds", "a histogram", []float64{1, 2}, "route")
+	collect := func(set LabelSetter) { set.Set(1) }
+	r.RegisterGaugeFunc("test_collected", "a collected gauge", collect)
+
+	for name, register := range map[string]func(){
+		"kind":             func() { r.NewGauge("test_total", "a counter") },
+		"help":             func() { r.NewCounter("test_total", "another counter") },
+		"labels":           func() { r.NewCounterVec("test_total", "a counter", "route") },
+		"buckets":          func() { r.NewHistogramVec("test_seconds", "a histogram", []float64{1, 3}, "route") },
+		"second collector": func() { r.RegisterGaugeFunc("test_collected", "a collected gauge", collect) },
+		"collector on instrument": func() {
+			r.RegisterCounterFunc("test_total", "a counter", func(set LabelSetter) {})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: re-registration did not panic", name)
+				}
+			}()
+			register()
+		}()
 	}
 }
 

@@ -1,13 +1,18 @@
 package runtime
 
-import "chainckpt/internal/obs"
+import (
+	"sync/atomic"
+
+	"chainckpt/internal/obs"
+)
 
 // Metrics is the runtime supervisor's slice of the observability
 // plane: wall-clock latency histograms for every execution-side cost
 // the paper's model charges abstractly — task execution, verification,
 // the two-phase disk-checkpoint commit (and its fsync alone), recovery
 // by tier, and adaptive suffix re-plans — plus checkpoint payload
-// sizes. These are the measured inputs a future self-driving ops plane
+// sizes — and a collector over the re-plan count of the supervisor New
+// bound. These are the measured inputs a future self-driving ops plane
 // feeds back into planning; nil (the default) costs one nil check per
 // site.
 type Metrics struct {
@@ -29,17 +34,21 @@ type Metrics struct {
 	// fail-stop, "memory" after a detected silent corruption).
 	RecoverySeconds *obs.HistogramVec
 	// ReplanSeconds measures adaptive suffix re-solves through
-	// Kernel.ReplanSuffix.
+	// Kernel.ReplanSuffix, failed ones included.
 	ReplanSeconds *obs.Histogram
+
+	// sup is the supervisor the replans collector reads; New binds it.
+	sup atomic.Pointer[Supervisor]
 }
 
 // NewMetrics registers the runtime families on reg; nil reg returns
-// nil metrics.
+// nil metrics. The replans family renders once New has bound a
+// supervisor.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		return nil
 	}
-	return &Metrics{
+	m := &Metrics{
 		TaskSeconds: reg.NewHistogram("chainckpt_runtime_task_seconds",
 			"Wall-clock time of each task execution, re-executions included.", nil),
 		VerifySeconds: reg.NewHistogram("chainckpt_runtime_verify_seconds",
@@ -55,4 +64,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		ReplanSeconds: reg.NewHistogram("chainckpt_runtime_replan_seconds",
 			"Wall-clock time of adaptive suffix re-plans.", nil),
 	}
+	reg.RegisterCounterFunc("chainckpt_runtime_replans_total",
+		"Adaptive suffix re-plans spliced into running schedules, across all jobs.",
+		func(set obs.LabelSetter) {
+			if s := m.sup.Load(); s != nil {
+				set.Set(float64(s.replans.Load()))
+			}
+		})
+	return m
 }

@@ -57,7 +57,8 @@ type Options struct {
 	// Metrics, when non-nil, wires every run into an obs registry:
 	// task/verification/checkpoint-commit latency histograms, fsync
 	// and payload-size histograms on the disk tier, recovery and
-	// re-plan timings (see NewMetrics). Nil means uninstrumented.
+	// re-plan timings, and a collector over the supervisor's re-plan
+	// count (see NewMetrics). Nil means uninstrumented.
 	Metrics *Metrics
 }
 
@@ -88,6 +89,7 @@ func New(opts Options) *Supervisor {
 	}
 	s := &Supervisor{eng: eng, kern: kern, m: opts.Metrics}
 	if s.m != nil {
+		s.m.sup.Store(s)
 		s.recDisk = s.m.RecoverySeconds.With("disk")
 		s.recMem = s.m.RecoverySeconds.With("memory")
 	}
