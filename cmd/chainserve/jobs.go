@@ -825,7 +825,7 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		Predicted: res.ExpectedMakespan,
 	}, spec, schedJSON, fingerprint, jr.Seed)
 	if err != nil {
-		writeError(w, http.StatusTooManyRequests, err)
+		writeTooManyRequests(w, s.opsCfg.RetryAfter, err)
 		return
 	}
 	ck, err := s.jobs.newCheckpointStore(j.snapshot().ID, jr.Retention)

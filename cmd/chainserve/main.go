@@ -38,13 +38,6 @@
 //	-admit-concurrent k  admission slots for the write routes (default 64)
 //	-admit-queue k    admission queue bound per priority class (default
 //	                  256); beyond it requests shed with 429 + Retry-After
-//	-slo-latency s    interactive latency SLO threshold in seconds
-//	                  (default 1.0)
-//	-slo-objective f  SLO objective, the fraction of requests that must
-//	                  meet the threshold (default 0.99)
-//	-burn-shed f      fast-window burn rate beyond which batch-class work
-//	                  (jobs) is shed first (default 10; 0 disables)
-//	-slo-sample d     SLO sampling / shed-coupling cadence (default 10s)
 //
 // Endpoints:
 //
@@ -75,8 +68,6 @@
 //	                         appends
 //	GET  /debug/traces       recent request and job trace ids
 //	GET  /debug/traces/{id}  one trace (request or job), as a span tree
-//	GET  /v1/admin/slo       SLO tracker view: burn rates, bad fractions,
-//	                         window quantiles, shedding state
 //
 // A request names a Table I platform or embeds a custom one, and gives
 // the chain either as explicit weights or as a (pattern, n, total)
@@ -138,14 +129,6 @@ func main() {
 		"admission slots for the write routes (plan/replan/jobs)")
 	admitQueue := flag.Int("admit-queue", opsDefaults.AdmitQueue,
 		"admission queue bound per priority class; beyond it requests shed with 429")
-	sloLatency := flag.Float64("slo-latency", opsDefaults.SLOThreshold,
-		"interactive latency SLO threshold in seconds")
-	sloObjective := flag.Float64("slo-objective", opsDefaults.SLOObjective,
-		"interactive SLO objective (fraction of requests that must meet the threshold)")
-	burnShed := flag.Float64("burn-shed", opsDefaults.BurnShed,
-		"fast-window burn rate beyond which batch work is shed (0 disables)")
-	sloSample := flag.Duration("slo-sample", opsDefaults.SampleInterval,
-		"SLO sampling and shed-coupling cadence")
 	flag.Parse()
 	engineWorkers, err := engineSolveWorkers(*solveWorkers)
 	if err != nil {
@@ -172,17 +155,12 @@ func main() {
 	opsCfg := opsDefaults
 	opsCfg.AdmitConcurrent = *admitConcurrent
 	opsCfg.AdmitQueue = *admitQueue
-	opsCfg.SLOThreshold = *sloLatency
-	opsCfg.SLOObjective = *sloObjective
-	opsCfg.BurnShed = *burnShed
-	opsCfg.SampleInterval = *sloSample
 	srv := newServerWithOps(engine.New(engine.Options{
 		Workers: *workers, CacheSize: memo,
 		SolveWorkers: engineWorkers, Metrics: plane.engine,
 	}), store, *storeDir, plane, opsCfg)
 	defer srv.eng.Close()
-	srv.startOps()
-	defer srv.stopOps()
+	defer srv.admission.Close()
 	if *pprofAddr != "" {
 		// pprof stays off the public mux: a separate listener the
 		// operator opts into, carrying DefaultServeMux's /debug/pprof/*.
@@ -279,13 +257,10 @@ type server struct {
 	routeLat    *obs.HistogramVec
 	reqSeq      atomic.Uint64
 
-	// The ops plane (ops.go): admission gate ahead of the engine pool
-	// and SLO burn-rate tracker over the route histograms.
+	// The ops plane (ops.go): admission gate ahead of the engine pool.
 	opsCfg     opsConfig
 	opsMetrics *ops.Metrics
 	admission  *ops.Controller
-	tracker    *ops.Tracker
-	opsStop    chan struct{}
 }
 
 // newServer builds a server with volatile jobs — the store-less
@@ -312,8 +287,8 @@ func newServerWithObs(eng *engine.Engine, store jobstore.Store, storeDir string,
 }
 
 // newServerWithOps is newServerWithObs with an explicit ops-plane
-// configuration (admission bounds, SLO objective, shedding coupling)
-// — what main builds from flags.
+// configuration (admission bounds and Retry-After hint) — what main
+// builds from flags.
 func newServerWithOps(eng *engine.Engine, store jobstore.Store, storeDir string, plane *obsPlane, cfg opsConfig) *server {
 	s := &server{
 		eng:     eng,
@@ -344,7 +319,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /debug/traces", s.instrument("traces", s.handleTraceList))
 	mux.HandleFunc("GET /debug/traces/{id}", s.instrument("trace_dump", s.handleTraceDump))
-	mux.HandleFunc("GET /v1/admin/slo", s.instrument("admin_slo", s.handleSLO))
 	return mux
 }
 

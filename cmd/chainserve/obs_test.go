@@ -83,12 +83,13 @@ func TestMetricsExpositionLintsClean(t *testing.T) {
 	// Every family is a chainckpt_* series registered by its owning
 	// layer. The solve team schedules from one shared cursor and keeps
 	// no goroutines between solves: no span, steal or helper-pool
-	// families.
+	// families. Admission is a plain bounded queue: no SLO families.
 	for _, gone := range []string{
 		"chainserve_",
 		"chainckpt_kernel_local_tiles_total",
 		"chainckpt_kernel_steal_total",
 		"chainckpt_kernel_parallel_workers",
+		"chainckpt_slo_",
 	} {
 		if strings.Contains(body, gone) {
 			t.Errorf("metrics still export %q", gone)

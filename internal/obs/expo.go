@@ -90,14 +90,13 @@ func labelString(names, values []string, extra string) string {
 }
 
 // WritePrometheus renders every family in text exposition format,
-// sorted by name, running OnScrape hooks and per-family collectors
-// first. This is the single source of /metrics: no caller may Fprintf
-// its own series next to it.
+// sorted by name, running per-family collectors first. This is the
+// single source of /metrics: no caller may Fprintf its own series next
+// to it.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.runScrapeHooks()
 	bw := bufio.NewWriter(w)
 	for _, f := range r.sortedFamilies() {
 		if f.collect != nil {
@@ -155,7 +154,6 @@ func (r *Registry) DumpText(w io.Writer) {
 	if r == nil {
 		return
 	}
-	r.runScrapeHooks()
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 	for _, f := range r.sortedFamilies() {

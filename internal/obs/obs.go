@@ -174,15 +174,51 @@ func (h *Histogram) Sum() float64 {
 
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation inside the owning bucket — the usual histogram_quantile
-// estimate, shared with the snapshot/delta path (quantileFromCum) so
-// DumpText and the burn-rate math can never disagree. Returns NaN when
-// the histogram is empty.
+// estimate. Returns NaN when the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return math.NaN()
 	}
 	cum, _, _ := h.snapshot()
 	return quantileFromCum(h.uppers, cum, q)
+}
+
+// quantileFromCum is the quantile estimate over cumulative bucket
+// counts: find the bucket holding the q-th observation and interpolate
+// linearly within it. Returning the bucket upper bound instead would
+// systematically overstate latency on coarse bucket grids;
+// TestQuantilePinnedDistributions pins the interpolation against known
+// distributions.
+func quantileFromCum(uppers []float64, cum []uint64, q float64) float64 {
+	if len(cum) == 0 {
+		return math.NaN()
+	}
+	total := cum[len(cum)-1]
+	if total == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(total)
+	lower := 0.0
+	var prev uint64
+	for i := range cum {
+		n := cum[i] - prev
+		upper := math.Inf(1)
+		if i < len(uppers) {
+			upper = uppers[i]
+		}
+		if n > 0 && float64(cum[i]) >= rank {
+			if math.IsInf(upper, 1) {
+				return lower // best effort for the overflow bucket
+			}
+			frac := (rank - float64(prev)) / float64(n)
+			return lower + (upper-lower)*frac
+		}
+		if !math.IsInf(upper, 1) {
+			lower = upper
+		}
+		prev = cum[i]
+	}
+	return lower
 }
 
 // snapshot returns cumulative bucket counts aligned with uppers+Inf.
@@ -264,35 +300,11 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
-
-	scrapeMu sync.Mutex
-	onScrape []func()
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// OnScrape registers fn to run at the start of every exposition
-// (WritePrometheus / DumpText). Handlers refresh snapshot-derived
-// gauges so a scrape sees one consistent view per stats source.
-func (r *Registry) OnScrape(fn func()) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.scrapeMu.Lock()
-	r.onScrape = append(r.onScrape, fn)
-	r.scrapeMu.Unlock()
-}
-
-func (r *Registry) runScrapeHooks() {
-	r.scrapeMu.Lock()
-	hooks := append([]func(){}, r.onScrape...)
-	r.scrapeMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
 }
 
 // register creates a family, or fetches it when a plain instrument

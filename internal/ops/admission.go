@@ -4,24 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
-// ShedError is returned when admission rejects a request outright —
-// the queue for its class is full, or burn-coupled shedding is active
-// and the request is batch-class. HTTP handlers map it to 429 with the
-// Retry-After hint.
+// ShedError is returned when admission rejects a request outright
+// because the queue for its class is full. HTTP handlers map it to 429
+// with the Retry-After hint.
 type ShedError struct {
 	// Class the rejected request belonged to.
 	Class Class
-	// Reason is the metric label: "queue_full" or "burn".
-	Reason string
 	// RetryAfter is the suggested client backoff.
 	RetryAfter time.Duration
 }
 
 func (e *ShedError) Error() string {
-	return fmt.Sprintf("admission: %s request shed (%s), retry after %s", e.Class, e.Reason, e.RetryAfter)
+	return fmt.Sprintf("admission: %s request shed (queue full), retry after %s", e.Class, e.RetryAfter)
 }
 
 // ErrDeadlineExceeded reports a request whose deadline expired before
@@ -42,7 +40,7 @@ type ControllerConfig struct {
 	// MaxConcurrent is the number of execution slots (default 64).
 	MaxConcurrent int
 	// MaxQueue bounds each class's wait queue (default 256). A request
-	// arriving at a full queue is shed immediately with "queue_full".
+	// arriving at a full queue is shed immediately.
 	MaxQueue int
 	// RetryAfter is the backoff hint stamped on ShedErrors (default 1s).
 	RetryAfter time.Duration
@@ -54,16 +52,13 @@ type waiter struct {
 	class Class
 	enq   time.Time
 	// res receives exactly one value: nil when a slot was granted, or
-	// the shed error when swept. Buffered so the granting/sweeping side
-	// never blocks on a waiter that is concurrently timing out.
+	// ErrClosed when swept by Close. Buffered so the granting/sweeping
+	// side never blocks on a waiter that is concurrently timing out.
 	res chan error
 	// granted marks a waiter that was handed a slot; checked under the
 	// controller mutex by the cancellation path to decide whether a
 	// slot must be returned.
 	granted bool
-	// abandoned marks a waiter whose requester gave up (deadline or
-	// cancel); the grant loop skips it without consuming a slot.
-	abandoned bool
 }
 
 // Controller is the bounded admission gate ahead of the engine pool.
@@ -75,9 +70,8 @@ type Controller struct {
 	cfg ControllerConfig
 	m   *Metrics
 
-	mu       chan struct{} // 1-buffered semaphore used as the lock (keeps lock ordering trivial)
+	mu       sync.Mutex
 	inFlight int
-	shedding bool
 	closed   bool
 	queues   [numClasses][]*waiter
 }
@@ -96,13 +90,8 @@ func NewController(cfg ControllerConfig, m *Metrics) *Controller {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	c := &Controller{cfg: cfg, m: m, mu: make(chan struct{}, 1)}
-	c.mu <- struct{}{}
-	return c
+	return &Controller{cfg: cfg, m: m}
 }
-
-func (c *Controller) lock()   { <-c.mu }
-func (c *Controller) unlock() { c.mu <- struct{}{} }
 
 // Admit requests an execution slot for one unit of work in the given
 // class. It returns a release function to call when the work is done,
@@ -124,26 +113,22 @@ func (c *Controller) Admit(ctx context.Context, class Class) (release func(), er
 	default:
 	}
 
-	c.lock()
+	c.mu.Lock()
 	if c.closed {
-		c.unlock()
+		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if c.shedding && class == Batch {
-		c.unlock()
-		return nil, c.shed(class, "burn")
-	}
-	if c.inFlight < c.cfg.MaxConcurrent && c.queueEmptyLocked() {
+	if c.inFlight < c.cfg.MaxConcurrent && len(c.queues[Interactive])+len(c.queues[Batch]) == 0 {
 		c.inFlight++
 		c.gauges()
-		c.unlock()
+		c.mu.Unlock()
 		c.m.incAdmitted(class.String())
 		c.observeWait(class, 0)
 		return c.releaseFunc(), nil
 	}
 	if len(c.queues[class]) >= c.cfg.MaxQueue {
-		c.unlock()
-		return nil, c.shed(class, "queue_full")
+		c.mu.Unlock()
+		return nil, c.shed(class)
 	}
 	w := &waiter{class: class, enq: c.cfg.Now(), res: make(chan error, 1)}
 	c.queues[class] = append(c.queues[class], w)
@@ -152,7 +137,7 @@ func (c *Controller) Admit(ctx context.Context, class Class) (release func(), er
 	// arrival must not strand free slots behind it.
 	c.grantLocked()
 	c.gauges()
-	c.unlock()
+	c.mu.Unlock()
 
 	select {
 	case err := <-w.res:
@@ -163,62 +148,21 @@ func (c *Controller) Admit(ctx context.Context, class Class) (release func(), er
 		c.observeWait(class, c.cfg.Now().Sub(w.enq).Seconds())
 		return c.releaseFunc(), nil
 	case <-ctx.Done():
-		c.lock()
+		c.mu.Lock()
 		if w.granted {
 			// The grant raced the cancellation: a slot was assigned
 			// between ctx.Done firing and us taking the lock. Hand it
 			// straight back so nothing leaks.
 			c.releaseLocked()
 			c.gauges()
-			c.unlock()
+			c.mu.Unlock()
 			return nil, c.doneErr(ctx, class)
 		}
-		w.abandoned = true
 		c.removeLocked(w)
 		c.gauges()
-		c.unlock()
+		c.mu.Unlock()
 		return nil, c.doneErr(ctx, class)
 	}
-}
-
-// SetShedding switches burn-coupled shedding on or off. Turning it on
-// immediately sweeps every queued batch waiter (the "shed storm"): each
-// is failed with a burn ShedError, releasing its queue slot, while
-// queued interactive waiters are untouched.
-func (c *Controller) SetShedding(on bool) {
-	if c == nil {
-		return
-	}
-	c.lock()
-	was := c.shedding
-	c.shedding = on
-	var swept []*waiter
-	if on && !was {
-		swept = c.queues[Batch]
-		c.queues[Batch] = nil
-	}
-	c.gauges()
-	if c.m != nil {
-		v := 0.0
-		if on {
-			v = 1
-		}
-		c.m.Shedding.Set(v)
-	}
-	c.unlock()
-	for _, w := range swept {
-		w.res <- c.shed(Batch, "burn")
-	}
-}
-
-// Shedding reports whether batch shedding is currently active.
-func (c *Controller) Shedding() bool {
-	if c == nil {
-		return false
-	}
-	c.lock()
-	defer c.unlock()
-	return c.shedding
 }
 
 // InFlight reports the number of slots currently held.
@@ -226,8 +170,8 @@ func (c *Controller) InFlight() int {
 	if c == nil {
 		return 0
 	}
-	c.lock()
-	defer c.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.inFlight
 }
 
@@ -236,8 +180,8 @@ func (c *Controller) QueueDepth(class Class) int {
 	if c == nil {
 		return 0
 	}
-	c.lock()
-	defer c.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.queues[class])
 }
 
@@ -247,9 +191,9 @@ func (c *Controller) Close() {
 	if c == nil {
 		return
 	}
-	c.lock()
+	c.mu.Lock()
 	if c.closed {
-		c.unlock()
+		c.mu.Unlock()
 		return
 	}
 	c.closed = true
@@ -259,7 +203,7 @@ func (c *Controller) Close() {
 		c.queues[cl] = nil
 	}
 	c.gauges()
-	c.unlock()
+	c.mu.Unlock()
 	for _, w := range swept {
 		w.res <- ErrClosed
 	}
@@ -268,19 +212,18 @@ func (c *Controller) Close() {
 func (c *Controller) releaseFunc() func() {
 	released := false
 	return func() {
-		c.lock()
+		c.mu.Lock()
 		if !released {
 			released = true
 			c.releaseLocked()
 			c.gauges()
 		}
-		c.unlock()
+		c.mu.Unlock()
 	}
 }
 
 // releaseLocked frees one slot and grants it to the next waiter —
-// interactive first, FIFO within the class — skipping waiters whose
-// requester has already abandoned them.
+// interactive first, FIFO within the class.
 func (c *Controller) releaseLocked() {
 	c.inFlight--
 	c.grantLocked()
@@ -300,27 +243,12 @@ func (c *Controller) grantLocked() {
 
 func (c *Controller) popLocked() *waiter {
 	for class := Interactive; class < numClasses; class++ {
-		for len(c.queues[class]) > 0 {
-			w := c.queues[class][0]
-			c.queues[class] = c.queues[class][1:]
-			if w.abandoned {
-				continue
-			}
-			return w
+		if q := c.queues[class]; len(q) > 0 {
+			c.queues[class] = q[1:]
+			return q[0]
 		}
 	}
 	return nil
-}
-
-func (c *Controller) queueEmptyLocked() bool {
-	for class := range c.queues {
-		for _, w := range c.queues[class] {
-			if !w.abandoned {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (c *Controller) removeLocked(w *waiter) {
@@ -333,11 +261,11 @@ func (c *Controller) removeLocked(w *waiter) {
 	}
 }
 
-func (c *Controller) shed(class Class, reason string) *ShedError {
+func (c *Controller) shed(class Class) *ShedError {
 	if c.m != nil {
-		c.m.Shed.With(class.String(), reason).Inc()
+		c.m.Shed.With(class.String()).Inc()
 	}
-	return &ShedError{Class: class, Reason: reason, RetryAfter: c.cfg.RetryAfter}
+	return &ShedError{Class: class, RetryAfter: c.cfg.RetryAfter}
 }
 
 func (c *Controller) doneErr(ctx context.Context, class Class) error {
@@ -382,12 +310,6 @@ func (c *Controller) gauges() {
 	}
 	c.m.InFlight.Set(float64(c.inFlight))
 	for class := Interactive; class < numClasses; class++ {
-		n := 0
-		for _, w := range c.queues[class] {
-			if !w.abandoned {
-				n++
-			}
-		}
-		c.m.QueueDepth.With(class.String()).Set(float64(n))
+		c.m.QueueDepth.With(class.String()).Set(float64(len(c.queues[class])))
 	}
 }

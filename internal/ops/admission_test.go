@@ -121,8 +121,8 @@ func TestAdmitCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// Queue bound: requests beyond MaxQueue shed immediately with
-// queue_full, and the shed does not consume a queue slot.
+// Queue bound: requests beyond MaxQueue shed immediately, and the shed
+// does not consume a queue slot.
 func TestAdmitQueueFull(t *testing.T) {
 	c, m, _ := newTestController(t, ControllerConfig{MaxConcurrent: 1, MaxQueue: 1, RetryAfter: 7 * time.Second})
 	rel, err := c.Admit(context.Background(), Batch)
@@ -145,11 +145,11 @@ func TestAdmitQueueFull(t *testing.T) {
 	if !errors.As(err, &shed) {
 		t.Fatalf("err = %v, want ShedError", err)
 	}
-	if shed.Reason != "queue_full" || shed.RetryAfter != 7*time.Second {
-		t.Fatalf("shed = %+v, want queue_full retry 7s", shed)
+	if shed.Class != Batch || shed.RetryAfter != 7*time.Second {
+		t.Fatalf("shed = %+v, want batch retry 7s", shed)
 	}
-	if got := m.Shed.With("batch", "queue_full").Value(); got != 1 {
-		t.Fatalf("shed{batch,queue_full} = %d, want 1", got)
+	if got := m.Shed.With("batch").Value(); got != 1 {
+		t.Fatalf("shed{batch} = %d, want 1", got)
 	}
 	rel()
 	if err := <-queued; err != nil {
@@ -157,76 +157,9 @@ func TestAdmitQueueFull(t *testing.T) {
 	}
 }
 
-// Shed storm: turning shedding on sweeps every queued batch waiter at
-// once, releases their queue slots, and leaves interactive waiters
-// untouched; new batch arrivals are rejected with reason burn until
-// shedding clears.
-func TestShedStormSweepsBatchQueue(t *testing.T) {
-	c, m, _ := newTestController(t, ControllerConfig{MaxConcurrent: 1, MaxQueue: 32})
-	relHold, err := c.Admit(context.Background(), Interactive)
-	if err != nil {
-		t.Fatalf("Admit: %v", err)
-	}
-
-	const nBatch = 8
-	batchErrs := make(chan error, nBatch)
-	for i := 0; i < nBatch; i++ {
-		go func() {
-			_, err := c.Admit(context.Background(), Batch)
-			batchErrs <- err
-		}()
-	}
-	interactiveDone := make(chan error, 1)
-	var interactiveRel func()
-	go func() {
-		rel, err := c.Admit(context.Background(), Interactive)
-		interactiveRel = rel
-		interactiveDone <- err
-	}()
-	waitFor(t, func() bool {
-		return c.QueueDepth(Batch) == nBatch && c.QueueDepth(Interactive) == 1
-	}, "queues populated")
-
-	c.SetShedding(true)
-	for i := 0; i < nBatch; i++ {
-		err := <-batchErrs
-		var shed *ShedError
-		if !errors.As(err, &shed) || shed.Reason != "burn" {
-			t.Fatalf("swept batch waiter err = %v, want burn ShedError", err)
-		}
-	}
-	if got := c.QueueDepth(Batch); got != 0 {
-		t.Fatalf("batch queue depth after storm = %d, want 0", got)
-	}
-	if got := c.QueueDepth(Interactive); got != 1 {
-		t.Fatalf("interactive queue depth after storm = %d, want 1", got)
-	}
-	if got := m.Shed.With("batch", "burn").Value(); got != nBatch {
-		t.Fatalf("shed{batch,burn} = %d, want %d", got, nBatch)
-	}
-
-	// New batch arrivals bounce immediately while shedding.
-	if _, err := c.Admit(context.Background(), Batch); err == nil {
-		t.Fatal("batch Admit during shedding succeeded")
-	}
-	// Interactive work still flows.
-	relHold()
-	if err := <-interactiveDone; err != nil {
-		t.Fatalf("interactive waiter err = %v", err)
-	}
-	interactiveRel()
-
-	c.SetShedding(false)
-	rel, err := c.Admit(context.Background(), Batch)
-	if err != nil {
-		t.Fatalf("batch Admit after shedding cleared: %v", err)
-	}
-	rel()
-}
-
-// Race-detector stress: concurrent admits of both classes, releases,
-// shed flips, and closes. Run with -race; correctness assertion is
-// that every Admit resolves and in-flight returns to zero.
+// Race-detector stress: concurrent admits of both classes, deadline
+// expiries while queued, and releases. Run with -race; correctness
+// assertion is that every Admit resolves and in-flight returns to zero.
 func TestAdmissionRaceStress(t *testing.T) {
 	c, _, _ := newTestController(t, ControllerConfig{MaxConcurrent: 4, MaxQueue: 16})
 	var wg sync.WaitGroup
@@ -250,15 +183,6 @@ func TestAdmissionRaceStress(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			c.SetShedding(i%2 == 0)
-			time.Sleep(100 * time.Microsecond)
-		}
-		c.SetShedding(false)
-	}()
 	wg.Wait()
 	waitFor(t, func() bool { return c.InFlight() == 0 }, "in-flight drained")
 	if granted.Load() == 0 {
@@ -298,9 +222,8 @@ func TestNilController(t *testing.T) {
 		t.Fatalf("nil Admit: %v", err)
 	}
 	rel()
-	c.SetShedding(true)
 	c.Close()
-	if c.Shedding() || c.InFlight() != 0 || c.QueueDepth(Batch) != 0 {
+	if c.InFlight() != 0 || c.QueueDepth(Batch) != 0 {
 		t.Fatal("nil controller reported state")
 	}
 }
