@@ -154,11 +154,9 @@ func (c *Controller) Admit(ctx context.Context, class Class) (release func(), er
 			// between ctx.Done firing and us taking the lock. Hand it
 			// straight back so nothing leaks.
 			c.releaseLocked()
-			c.gauges()
-			c.mu.Unlock()
-			return nil, c.doneErr(ctx, class)
+		} else {
+			c.removeLocked(w)
 		}
-		c.removeLocked(w)
 		c.gauges()
 		c.mu.Unlock()
 		return nil, c.doneErr(ctx, class)
