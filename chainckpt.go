@@ -29,13 +29,9 @@
 // Many requests at once — experiment sweeps, services — plan through an
 // Engine: a bounded worker pool with an LRU memo of solved instances, so
 // instances solve concurrently and repeated or near-duplicate requests
-// are served from cache (see NewEngine, PlanMany, PlanAsync, Stream).
-// cmd/chainserve exposes the engine over HTTP/JSON with health and
-// metrics endpoints.
-//
-//	eng := chainckpt.NewEngine(chainckpt.EngineOptions{})
-//	defer eng.Close()
-//	resps := eng.PlanMany(ctx, reqs)
+// are served from cache (see NewEngine and its example, PlanMany and
+// Stream). cmd/chainserve exposes the engine over HTTP/JSON with health
+// and metrics endpoints.
 //
 // Beyond the planners, the package exposes the machinery used to validate
 // them: an analytic evaluator for fixed schedules (Evaluate), an exact
@@ -49,7 +45,6 @@
 package chainckpt
 
 import (
-	"context"
 	"math/rand"
 
 	"chainckpt/internal/chain"
@@ -57,12 +52,9 @@ import (
 	"chainckpt/internal/dag"
 	"chainckpt/internal/engine"
 	"chainckpt/internal/evaluate"
-	"chainckpt/internal/fault"
 	"chainckpt/internal/heuristics"
-	"chainckpt/internal/jobstore"
 	"chainckpt/internal/obs"
 	"chainckpt/internal/platform"
-	"chainckpt/internal/replay"
 	"chainckpt/internal/runtime"
 	"chainckpt/internal/schedule"
 	"chainckpt/internal/sensitivity"
@@ -179,12 +171,6 @@ func PlanWithCosts(alg Algorithm, c *Chain, p Platform, costs *Costs) (*PlanResu
 	return core.PlanWithCosts(alg, c, p, costs)
 }
 
-// PlanFull is the most general planning entry point: per-boundary costs
-// and placement constraints, both optional (nil).
-func PlanFull(alg Algorithm, c *Chain, p Platform, costs *Costs, cons *Constraints) (*PlanResult, error) {
-	return core.PlanFull(alg, c, p, costs, cons)
-}
-
 // PlanOptions bundles every optional planning input: per-boundary costs,
 // placement constraints, and a disk-checkpoint budget.
 type PlanOptions = core.Options
@@ -199,16 +185,6 @@ func EvaluateWithCosts(c *Chain, p Platform, costs *Costs, s *Schedule) (float64
 	return core.EvaluateWithCosts(c, p, costs, s)
 }
 
-// Evaluator scores fixed schedules for one instance, amortizing the model
-// tables across calls; build one when scoring many candidate schedules.
-type Evaluator = core.Evaluator
-
-// NewEvaluator precomputes the model tables for (chain, platform, costs);
-// costs may be nil for the platform constants.
-func NewEvaluator(c *Chain, p Platform, costs *Costs) (*Evaluator, error) {
-	return core.NewEvaluator(c, p, costs)
-}
-
 // ExactMakespanWithCosts is ExactMakespan with per-boundary costs.
 func ExactMakespanWithCosts(c *Chain, p Platform, costs *Costs, s *Schedule) (float64, error) {
 	return evaluate.ExactWithCosts(c, p, costs, s)
@@ -219,9 +195,6 @@ func NewSchedule(n int) (*Schedule, error) { return schedule.New(n) }
 
 // Plan runs the named algorithm and returns the optimal schedule.
 func Plan(alg Algorithm, c *Chain, p Platform) (*PlanResult, error) { return core.Plan(alg, c, p) }
-
-// PlanADV runs the single-level planner ADV*.
-func PlanADV(c *Chain, p Platform) (*PlanResult, error) { return core.PlanADV(c, p) }
 
 // PlanADMVStar runs the two-level planner ADMV* (Section III-A).
 func PlanADMVStar(c *Chain, p Platform) (*PlanResult, error) { return core.PlanADMVStar(c, p) }
@@ -336,19 +309,9 @@ type EngineOptions = engine.Options
 // PlanRequest is one planning job submitted to an Engine.
 type PlanRequest = engine.Request
 
-// PlanResponse is the outcome of one PlanRequest, carrying the batch
-// index, the result or error, and whether the memo served it.
-type PlanResponse = engine.Response
-
-// EngineStats is a snapshot of an Engine's request and cache counters.
-type EngineStats = engine.Stats
-
 // NewEngine starts a batch planning engine; Close it to release its
-// workers.
-//
-//	eng := chainckpt.NewEngine(chainckpt.EngineOptions{})
-//	defer eng.Close()
-//	resps := eng.PlanMany(ctx, reqs)   // or PlanAsync / Stream
+// workers. Submit batches with PlanMany (responses in request order) or
+// Stream (responses in completion order).
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // DefaultEngine returns the shared process-wide engine used by the
@@ -366,18 +329,7 @@ func DefaultEngine() *Engine { return engine.Default() }
 // your own (see internal/core).
 type Kernel = core.Kernel
 
-// KernelStats snapshots a kernel's scratch-pool counters: solves, and
-// arena reuses versus fresh allocations, per size bucket.
-type KernelStats = core.KernelStats
-
-// KernelBucketStats is one capacity class of a kernel's scratch pool.
-type KernelBucketStats = core.KernelBucketStats
-
 // NewKernel returns an empty solver kernel.
-//
-//	k := chainckpt.NewKernel()
-//	res, _ := k.PlanOpts(chainckpt.ADMV, c, p, chainckpt.PlanOptions{})
-//	upd, _ := k.ReplanSuffix(chainckpt.ADMV, c, newRates, from, chainckpt.PlanOptions{})
 func NewKernel() *Kernel { return core.NewKernel() }
 
 // DefaultKernel returns the shared process-wide kernel the package-level
@@ -401,9 +353,6 @@ type RunJob = runtime.Job
 
 // RunReport summarizes one supervised execution.
 type RunReport = runtime.Report
-
-// RunCounters tallies the events of one supervised execution.
-type RunCounters = runtime.Counters
 
 // AdaptPolicy tunes adaptive re-planning (zero value = defaults).
 type AdaptPolicy = runtime.AdaptPolicy
@@ -431,11 +380,8 @@ type SimTaskRunner = runtime.SimRunner
 type NopTaskRunner = runtime.NopRunner
 type SleepTaskRunner = runtime.SleepRunner
 
-// NewSupervisor builds an execution supervisor.
-//
-//	sup := chainckpt.NewSupervisor(chainckpt.SupervisorOptions{})
-//	rep, err := sup.Run(ctx, chainckpt.RunJob{Chain: c, Platform: p})
-//	rep, err = sup.RunAdaptive(ctx, job, chainckpt.AdaptPolicy{})
+// NewSupervisor builds an execution supervisor; Run executes a job
+// against a fixed schedule and RunAdaptive re-plans it mid-run.
 func NewSupervisor(opts SupervisorOptions) *Supervisor { return runtime.New(opts) }
 
 // NewCheckpointStore opens a checkpoint store; dir "" keeps the disk
@@ -453,43 +399,18 @@ type MetricsRegistry = obs.Registry
 // MetricsHistogram is one fixed-bucket latency or size histogram.
 type MetricsHistogram = obs.Histogram
 
-// Tracer records request- and job-scoped span trees into a bounded
-// ring; Span is one timed operation. Both are nil-safe: a nil Tracer
-// hands out nil Spans and every Span method on nil is a free no-op, so
-// instrumented code paths cost nothing when tracing is off.
-type Tracer = obs.Tracer
-type Span = obs.Span
-
 // NewMetricsRegistry builds an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTracer builds a tracer keeping the most recent completed traces
-// (keep <= 0 uses the default ring size).
-func NewTracer(keep int) *Tracer { return obs.NewTracer(keep) }
-
-// EngineMetrics and RuntimeMetrics are the per-layer metric bundles:
-// pass each to one engine or supervisor via EngineOptions.Metrics /
-// SupervisorOptions.Metrics to fill the engine's queue-wait and
-// solve-latency histograms and its cache and kernel counters, and task
-// / verification / checkpoint-commit / recovery timings and re-plan
-// counts, on reg.
-type EngineMetrics = engine.Metrics
+// RuntimeMetrics is the supervisor's metric bundle: pass it via
+// SupervisorOptions.Metrics to fill task, verification,
+// checkpoint-commit and recovery timings and re-plan counts on a
+// registry.
 type RuntimeMetrics = runtime.Metrics
-
-// NewEngineMetrics registers the engine's metric families on reg (nil
-// reg returns nil, an uninstrumented engine).
-func NewEngineMetrics(reg *MetricsRegistry) *EngineMetrics { return engine.NewMetrics(reg) }
 
 // NewRuntimeMetrics registers the runtime supervisor's metric families
 // on reg (nil reg returns nil, an uninstrumented supervisor).
 func NewRuntimeMetrics(reg *MetricsRegistry) *RuntimeMetrics { return runtime.NewMetrics(reg) }
-
-// ContextWithSpan returns ctx carrying s, so supervisor runs and engine
-// plans hang their child spans below it; SpanFromContext reads it back.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return obs.ContextWithSpan(ctx, s)
-}
-func SpanFromContext(ctx context.Context) *Span { return obs.SpanFrom(ctx) }
 
 // EstimatorState is the serializable evidence of a run's online error-
 // rate estimators: persist it (RunReport.Estimator), seed it back
@@ -501,57 +422,6 @@ type EstimatorState = runtime.EstimatorState
 // RateObservation is one error source's exposure and arrival count.
 type RateObservation = runtime.RateObservation
 
-// JobStore persists execution-job lifecycles so they survive a service
-// restart: created -> planned -> running(progress) -> done / failed /
-// cancelled, one durable record per transition. See internal/jobstore.
-type JobStore = jobstore.Store
-
-// JobRecord is the durable state of one job: lifecycle fields plus
-// opaque JSON payloads (request spec, planned schedule, estimator
-// evidence, final report) owned by the service above the store.
-type JobRecord = jobstore.Record
-
-// JobState is a job lifecycle state.
-type JobState = jobstore.State
-
-// The job lifecycle states.
-const (
-	JobCreated   = jobstore.StateCreated
-	JobPlanned   = jobstore.StatePlanned
-	JobRunning   = jobstore.StateRunning
-	JobDone      = jobstore.StateDone
-	JobFailed    = jobstore.StateFailed
-	JobCancelled = jobstore.StateCancelled
-)
-
-// JournalJobStore is the durable JobStore: an append-only write-ahead
-// journal of CRC-framed records in rotated segment files with a
-// periodically compacted snapshot, replayed on open with damaged
-// frames skipped. MemoryJobStore is the volatile reference
-// implementation with identical semantics.
-type JournalJobStore = jobstore.Journal
-type MemoryJobStore = jobstore.Memory
-
-// JobStoreOptions tunes a journaled job store (segment size, compaction
-// cadence, fsync).
-type JobStoreOptions = jobstore.Options
-
-// JobStoreStats snapshots a job store's counters, including the
-// corruption and duplicate skips of the last replay.
-type JobStoreStats = jobstore.Stats
-
-// OpenJobStore opens (creating if necessary) a write-ahead journaled
-// job store under dir and replays its records.
-//
-//	store, err := chainckpt.OpenJobStore(dir, chainckpt.JobStoreOptions{})
-//	for _, rec := range store.List() { ... }   // resume what was running
-func OpenJobStore(dir string, opts JobStoreOptions) (*JournalJobStore, error) {
-	return jobstore.Open(dir, opts)
-}
-
-// NewMemoryJobStore returns a volatile job store.
-func NewMemoryJobStore() *MemoryJobStore { return jobstore.NewMemory() }
-
 // NewSimRunner builds a fault-injecting task runner whose true rates
 // come from p; the seed fixes the fault sequence.
 func NewSimRunner(p Platform, seed uint64) *SimTaskRunner { return runtime.NewSimRunner(p, seed) }
@@ -562,74 +432,6 @@ func NewSimRunner(p Platform, seed uint64) *SimTaskRunner { return runtime.NewSi
 func NewMisspecifiedRunner(p Platform, factorF, factorS float64, seed uint64) *SimTaskRunner {
 	return runtime.NewMisspecifiedRunner(p, factorF, factorS, seed)
 }
-
-// Recording is the event-sourced capture of one supervised run: the
-// instance identity (seed, algorithm, chain/schedule fingerprints), the
-// full trace-event stream, estimator snapshots at every committed disk
-// checkpoint, checkpoint content digests, normalized job-store
-// lifecycle records, and the normalized final report. Re-running the
-// same ReplaySpec reproduces a recording bit for bit (see
-// internal/replay and the chaos matrices that enforce it).
-type Recording = replay.Recording
-
-// RecordingMeta stamps a recording with the run's identity.
-type RecordingMeta = replay.Meta
-
-// RecordingFrame is one recorded trace event with its sequence number.
-type RecordingFrame = replay.Frame
-
-// Recorder captures a run as it executes; wire its Observe/Progress/
-// Lifecycle hooks into the supervisor and job store, then seal with
-// Finish.
-type Recorder = replay.Recorder
-
-// ReplaySpec is the complete replayable input of one supervised run:
-// instance, seed, misspecification, resume flag, and scripted fault
-// plan.
-type ReplaySpec = replay.Spec
-
-// NewRecorder starts a recording stamped with meta.
-func NewRecorder(meta RecordingMeta) *Recorder { return replay.NewRecorder(meta) }
-
-// RecordRun executes spec under sup and records it; a crashed run
-// returns its partial recording alongside the error.
-func RecordRun(ctx context.Context, sup *Supervisor, spec ReplaySpec) (*Recording, error) {
-	return replay.Run(ctx, sup, spec)
-}
-
-// Replay re-executes spec and asserts bit-identical equivalence with
-// the recording want, returning the re-run's recording and the first
-// divergence (as an error) if any.
-func Replay(ctx context.Context, sup *Supervisor, spec ReplaySpec, want *Recording) (*Recording, error) {
-	return replay.Replay(ctx, sup, spec, want)
-}
-
-// DiffRecordings describes the first divergence between two recordings;
-// empty means their canonical forms are bit-identical.
-func DiffRecordings(a, b *Recording) (string, error) { return replay.Diff(a, b) }
-
-// DecodeRecording parses a recording's canonical JSON form (as served
-// by chainserve's GET /v1/jobs/{id}/trace or written to -record-dir).
-func DecodeRecording(data []byte) (*Recording, error) { return replay.Decode(data) }
-
-// FaultPoint names one fault-injection point threaded through the
-// supervisor's checkpoint commit protocol and the job-store journal;
-// see internal/fault for the catalogue.
-type FaultPoint = fault.Point
-
-// FaultInjector decides, at each fault point, whether to mutate the
-// in-flight payload or kill the process-equivalent; injectors are a
-// test seam and nil (the production value) costs one predictable
-// branch per point.
-type FaultInjector = fault.Injector
-
-// FaultScript is a deterministic injector: it fires once, at the N-th
-// hit of one point, optionally mutating the payload and/or crashing.
-type FaultScript = fault.Script
-
-// ErrInjectedCrash is the sentinel a scripted crash surfaces as; a run
-// ending in it corresponds to a process that died at the fault point.
-var ErrInjectedCrash = fault.ErrCrash
 
 // TraceEvent is one step of a replayed or supervised execution.
 type TraceEvent = sim.TraceEvent

@@ -72,12 +72,15 @@ func TestFacadeCostsRoundTrip(t *testing.T) {
 	if math.Abs(exact-closed)/closed > 1e-4 {
 		t.Errorf("exact %f vs closed %f", exact, closed)
 	}
-	full, err := PlanFull(ADMV, c, p, costs, nil)
+	general, err := PlanWithOptions(ADMV, c, p, PlanOptions{Costs: costs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.ExpectedMakespan != res.ExpectedMakespan {
-		t.Error("PlanFull disagrees with PlanWithCosts")
+	if math.Float64bits(general.ExpectedMakespan) != math.Float64bits(res.ExpectedMakespan) {
+		t.Errorf("PlanWithOptions makespan %v, PlanWithCosts %v", general.ExpectedMakespan, res.ExpectedMakespan)
+	}
+	if general.Schedule.String() != res.Schedule.String() {
+		t.Errorf("PlanWithOptions schedule %s, PlanWithCosts %s", general.Schedule, res.Schedule)
 	}
 }
 
@@ -217,29 +220,10 @@ func TestFacadeSupervisor(t *testing.T) {
 	}
 }
 
-func TestFacadeJobStoreAndResume(t *testing.T) {
-	dir := t.TempDir()
-	store, err := OpenJobStore(dir, JobStoreOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(JobRecord{ID: "job-1", Seq: 1, Version: 1, State: JobRunning}); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-	re, err := OpenJobStore(dir, JobStoreOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	rec, ok := re.Get("job-1")
-	if !ok || rec.State != JobRunning || rec.State.Terminal() {
-		t.Fatalf("replayed record: %+v ok=%v", rec, ok)
-	}
-
-	// Resume a supervised run over a checkpoint directory: the full run
-	// leaves its final checkpoint behind, and the resumed run restores
-	// it and has nothing left to execute.
+// Resume a supervised run over a checkpoint directory: the full run
+// leaves its final checkpoint behind, and the resumed run restores it
+// and has nothing left to execute.
+func TestFacadeResumeFromCheckpointDir(t *testing.T) {
 	c, _ := Uniform(6, 6000)
 	p := Hera()
 	ckdir := t.TempDir()

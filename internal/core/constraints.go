@@ -102,20 +102,14 @@ func (c *Constraints) check(i int) {
 // PlanConstrained runs the named algorithm restricted to schedules whose
 // boundary actions satisfy cons. With nil constraints it is Plan.
 func PlanConstrained(alg Algorithm, c *chain.Chain, p platform.Platform, cons *Constraints) (*Result, error) {
-	return PlanFull(alg, c, p, nil, cons)
+	return PlanOpts(alg, c, p, Options{Constraints: cons})
 }
 
 // PlanWithCosts runs the named algorithm with per-boundary checkpoint,
 // recovery and verification costs (see platform.Costs). With a nil table
 // it is Plan.
 func PlanWithCosts(alg Algorithm, c *chain.Chain, p platform.Platform, costs *platform.Costs) (*Result, error) {
-	return PlanFull(alg, c, p, costs, nil)
-}
-
-// PlanFull is the most general fixed-shape planning entry point:
-// per-boundary costs and placement constraints, both optional.
-func PlanFull(alg Algorithm, c *chain.Chain, p platform.Platform, costs *platform.Costs, cons *Constraints) (*Result, error) {
-	return PlanOpts(alg, c, p, Options{Costs: costs, Constraints: cons})
+	return PlanOpts(alg, c, p, Options{Costs: costs})
 }
 
 // Options bundles every optional planning input.

@@ -66,12 +66,6 @@ func Plan(alg Algorithm, c *chain.Chain, p platform.Platform) (*Result, error) {
 	return PlanOpts(alg, c, p, Options{})
 }
 
-// PlanADV runs the single-level algorithm (disk checkpoints and
-// guaranteed verifications only).
-func PlanADV(c *chain.Chain, p platform.Platform) (*Result, error) {
-	return Plan(AlgADV, c, p)
-}
-
 // PlanADMVStar runs the two-level algorithm of Section III-A (disk and
 // memory checkpoints, guaranteed verifications).
 func PlanADMVStar(c *chain.Chain, p platform.Platform) (*Result, error) {

@@ -40,8 +40,8 @@ type solver struct {
 	// mechanisms (see PlanConstrained). Indexed by original boundary.
 	cons *Constraints
 	// costs, when non-nil, overrides the platform's constant costs with
-	// per-boundary values (see PlanFull and platform.Costs). Indexed by
-	// original boundary.
+	// per-boundary values (see PlanWithCosts and platform.Costs).
+	// Indexed by original boundary.
 	costs *platform.Costs
 	// maxDisk bounds the number of disk checkpoints (window boundaries
 	// 1..n, including the mandatory final one). Always in [1, n].

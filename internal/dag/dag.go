@@ -85,9 +85,6 @@ func (g *Graph) AddEdge(from, to string) error {
 // Len returns the number of tasks.
 func (g *Graph) Len() int { return len(g.nodes) }
 
-// Node returns the i-th node (insertion order).
-func (g *Graph) Node(i int) Node { return g.nodes[i] }
-
 // TotalWeight returns the sum of all task weights.
 func (g *Graph) TotalWeight() float64 {
 	t := 0.0

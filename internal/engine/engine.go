@@ -141,15 +141,6 @@ type Stats struct {
 	Shards []Stats
 }
 
-// HitRatio returns the fraction of requests served from the memo, 0
-// before any request.
-func (s Stats) HitRatio() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.Requests)
-}
-
 // entry is one memo slot. done is closed once res/err are final; an
 // entry in the map before done closes represents an in-flight solve that
 // later identical requests wait on instead of re-solving — the
@@ -388,12 +379,6 @@ func (e *Engine) Stream(ctx context.Context, reqs []Request) <-chan Response {
 		close(ch)
 	}()
 	return ch
-}
-
-// PlanAsync resolves one request in the background; the returned channel
-// delivers exactly one Response and is then closed.
-func (e *Engine) PlanAsync(ctx context.Context, req Request) <-chan Response {
-	return e.Stream(ctx, []Request{req})
 }
 
 // planOne is the single-request path shared by every public method:

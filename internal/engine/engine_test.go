@@ -213,20 +213,6 @@ func TestStreamDeliversAllResponses(t *testing.T) {
 	}
 }
 
-func TestPlanAsync(t *testing.T) {
-	eng := New(Options{Workers: 2})
-	defer eng.Close()
-	req := testRequests(t, 1)[0]
-	ch := eng.PlanAsync(context.Background(), req)
-	resp := <-ch
-	if resp.Err != nil || resp.Result == nil {
-		t.Fatalf("async response: %+v", resp)
-	}
-	if _, more := <-ch; more {
-		t.Error("async channel should close after its single response")
-	}
-}
-
 func TestErrorsAndInvalidRequests(t *testing.T) {
 	eng := New(Options{Workers: 2})
 	defer eng.Close()
@@ -407,11 +393,8 @@ func TestStatsPerAlgorithmCountersAndHitRatio(t *testing.T) {
 			t.Errorf("Algorithms[%q] = %d, want %d (all: %v)", alg, st.Algorithms[alg], n, st.Algorithms)
 		}
 	}
-	if got := st.HitRatio(); got != 0.25 {
-		t.Errorf("HitRatio = %v, want 0.25 (stats %+v)", got, st)
-	}
-	if (Stats{}).HitRatio() != 0 {
-		t.Error("empty stats hit ratio should be 0")
+	if st.CacheHits*4 != st.Requests {
+		t.Errorf("hits %d of %d requests, want a quarter (stats %+v)", st.CacheHits, st.Requests, st)
 	}
 }
 

@@ -116,15 +116,12 @@ func (SleepRunner) Verify(context.Context, int, State, bool) (bool, error) { ret
 // The true rates may differ from the platform the schedule was planned
 // for; that misspecification is what adaptive re-planning corrects.
 type SimRunner struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards src
 	lambdaF float64
 	lambdaS float64
 	recall  float64
 	seed    uint64
 	src     *rng.Source
-
-	injectedSilent   int64
-	injectedFailStop int64
 }
 
 // NewSimRunner builds a fault-injecting runner whose true error rates
@@ -187,7 +184,6 @@ func (r *SimRunner) Run(_ context.Context, t TaskSpec) (TaskResult, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if x := r.src.ExpFloat64(r.lambdaF); x < t.Weight {
-		r.injectedFailStop++
 		return TaskResult{Elapsed: x, FailStop: true}, nil
 	}
 	st := decodeSimState(t.State)
@@ -195,7 +191,6 @@ func (r *SimRunner) Run(_ context.Context, t TaskSpec) (TaskResult, error) {
 		return TaskResult{}, fmt.Errorf("runtime: task %d fed state of boundary %d", t.Index, st.Boundary)
 	}
 	if r.src.Bernoulli(expmath.ProbError(r.lambdaS, t.Weight)) {
-		r.injectedSilent++
 		st.Corrupt = true
 	}
 	st.Boundary = t.Index
@@ -216,14 +211,6 @@ func (r *SimRunner) Verify(_ context.Context, _ int, state State, partial bool) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return !r.src.Bernoulli(r.recall), nil
-}
-
-// Injected returns the number of silent and fail-stop errors the runner
-// has injected so far.
-func (r *SimRunner) Injected() (silent, failStop int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.injectedSilent, r.injectedFailStop
 }
 
 // markState appends a compact execution record to the payload so runs

@@ -61,9 +61,6 @@ func (a Action) Normalize() Action {
 // Has reports whether every mechanism in m is present in a.
 func (a Action) Has(m Action) bool { return a&m == m }
 
-// Verified reports whether the boundary runs any verification at all.
-func (a Action) Verified() bool { return a&(Partial|Guaranteed) != 0 }
-
 // Valid reports whether the action respects the model's nesting rules.
 func (a Action) Valid() bool {
 	if a.Has(Disk) && !a.Has(Memory) {
