@@ -111,7 +111,8 @@ func (jr *jobRequest) newRunner(p platform.Platform, seed uint64) runtime.TaskRu
 	}
 }
 
-// jobStatus is the wire representation of a job.
+// jobStatus is the wire representation of a job: a view of its durable
+// record plus the in-memory report (see job.view).
 type jobStatus struct {
 	ID        string  `json:"id"`
 	Status    string  `json:"status"` // running | done | failed | cancelled
@@ -125,31 +126,28 @@ type jobStatus struct {
 	Error     string          `json:"error,omitempty"`
 }
 
-// job is one tracked execution. Event followers block on cond until new
-// events arrive or the run finishes. rec mirrors the job's durable
-// record; its Version advances with every persisted transition.
-// recorder, when attached, event-sources the execution (trace frames,
-// lifecycle records, estimator snapshots) into a replay.Recording whose
-// canonical bytes land in recording once the run is sealed.
+// job is one tracked execution. rec, the job's durable record, is the
+// only lifecycle state it holds; jobManager.transition replaces it once
+// the store has taken the next one. report is the run's report, whose
+// trace is the event log (for a job adopted in its terminal state, the
+// persisted trace-free report). Event followers block on cond until new
+// events arrive or the run returns (ended). recorder, while attached,
+// event-sources the execution (trace frames, lifecycle records,
+// estimator snapshots) into a replay.Recording whose canonical bytes
+// land in recording when the run is sealed; sealing drops the recorder.
 type job struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	status    jobStatus
+	rec       jobstore.Record
+	report    *runtime.Report
 	events    []sim.TraceEvent
-	done      bool
+	ended     bool
 	cancelled bool
 	cancel    context.CancelFunc
-	rec       jobstore.Record
 
 	recorder  *replay.Recorder
 	recording []byte
 	recErr    error
-}
-
-func newJob(st jobStatus, rec jobstore.Record) *job {
-	j := &job{status: st, rec: rec}
-	j.cond = sync.NewCond(&j.mu)
-	return j
 }
 
 // record snapshots the job's current durable record.
@@ -160,9 +158,9 @@ func (j *job) record() jobstore.Record {
 }
 
 // attachRecorder starts event-sourcing the job: initial carries the
-// lifecycle records persisted before the recorder existed (the
-// created/planned pair of a fresh job, the running record of a resumed
-// one); every later transition is fed by jobManager.transition.
+// lifecycle records journaled before the recorder existed (see
+// jobManager.register); every later transition is fed by
+// jobManager.transition.
 func (j *job) attachRecorder(rec *replay.Recorder, initial ...jobstore.Record) {
 	for _, r := range initial {
 		rec.Lifecycle(r)
@@ -172,35 +170,26 @@ func (j *job) attachRecorder(rec *replay.Recorder, initial ...jobstore.Record) {
 	j.mu.Unlock()
 }
 
-func (j *job) getRecorder() *replay.Recorder {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recorder
-}
-
 // sealRecording publishes the canonical recording bytes (or the sealing
-// failure) and wakes trace waiters.
+// failure), drops the recorder and wakes trace waiters.
 func (j *job) sealRecording(data []byte, err error) {
 	j.mu.Lock()
-	j.recording, j.recErr = data, err
+	j.recording, j.recErr, j.recorder = data, err, nil
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
 
-// errNoRecording marks a job that executes without a recorder: one
-// adopted in its terminal state from a previous service life.
+// errNoRecording marks a job that never had a recorder: one adopted in
+// its terminal state from a previous service life.
 var errNoRecording = fmt.Errorf("job has no recording (finished in a previous service life)")
 
 // waitRecording blocks until the job's recording is sealed, the sealing
 // fails, or ctx is done. Callers must arrange a cond broadcast on ctx
-// cancellation (context.AfterFunc), as handleJobTrace does.
+// cancellation (wakeOnDone).
 func (j *job) waitRecording(ctx context.Context) ([]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.recorder == nil {
-		return nil, errNoRecording
-	}
-	for j.recording == nil && j.recErr == nil && ctx.Err() == nil {
+	for j.recorder != nil && ctx.Err() == nil {
 		j.cond.Wait()
 	}
 	switch {
@@ -208,9 +197,22 @@ func (j *job) waitRecording(ctx context.Context) ([]byte, error) {
 		return j.recording, nil
 	case j.recErr != nil:
 		return nil, j.recErr
+	case j.recorder == nil:
+		return nil, errNoRecording
 	default:
 		return nil, ctx.Err()
 	}
+}
+
+// wakeOnDone broadcasts on the job's cond once ctx is done, so a
+// handler blocked on the job notices its client went away. Call the
+// returned stop when done waiting.
+func (j *job) wakeOnDone(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		j.mu.Lock()
+		j.cond.Broadcast()
+		j.mu.Unlock()
+	})
 }
 
 // append records one event and wakes followers.
@@ -221,31 +223,26 @@ func (j *job) append(ev sim.TraceEvent) {
 	j.mu.Unlock()
 }
 
-// finish seals the job and wakes followers.
-func (j *job) finish(rep *runtime.Report, err error) {
+// end marks the run returned: the report takes the event log as its
+// trace, and event followers reach EOF. It reports whether a cancel was
+// requested, which is final once the run has returned.
+func (j *job) end(rep *runtime.Report) (cancelled bool) {
 	j.mu.Lock()
-	switch {
-	case err != nil && j.cancelled:
-		j.status.Status = "cancelled"
-		j.status.Error = err.Error()
-	case err != nil:
-		j.status.Status = "failed"
-		j.status.Error = err.Error()
-	default:
-		j.status.Status = "done"
-		j.status.Report = rep
+	defer j.mu.Unlock()
+	if rep != nil {
+		rep.Trace = j.events
 	}
-	j.done = true
+	j.report, j.ended = rep, true
 	j.cond.Broadcast()
-	j.mu.Unlock()
+	return j.cancelled
 }
 
 // requestCancel marks the job cancelled and stops its execution,
-// reporting whether it was still running.
+// reporting whether the run was still going.
 func (j *job) requestCancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.done {
+	if j.ended {
 		return false
 	}
 	j.cancelled = true
@@ -273,7 +270,7 @@ func (j *job) setCancel(cancel context.CancelFunc) {
 func (j *job) next(ctx context.Context, from int) ([]sim.TraceEvent, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for len(j.events) <= from && !j.done && ctx.Err() == nil {
+	for len(j.events) <= from && !j.ended && ctx.Err() == nil {
 		j.cond.Wait()
 	}
 	if ctx.Err() != nil {
@@ -281,31 +278,48 @@ func (j *job) next(ctx context.Context, from int) ([]sim.TraceEvent, bool) {
 	}
 	out := make([]sim.TraceEvent, len(j.events)-from)
 	copy(out, j.events[from:])
-	return out, j.done && from+len(out) == len(j.events)
+	return out, j.ended && from+len(out) == len(j.events)
+}
+
+// view builds the wire status from the durable record: a job is
+// running until its terminal record is published. Callers hold j.mu.
+func (j *job) view() jobStatus {
+	r := &j.rec
+	st := jobStatus{
+		ID: r.ID, Status: "running", Adaptive: r.Adaptive, Algorithm: r.Algorithm,
+		Predicted: r.Predicted, Resumes: r.Resumes, CreatedAt: r.CreatedAt, Error: r.Error,
+	}
+	if r.State.Terminal() {
+		st.Status, st.Report = string(r.State), j.report
+	}
+	return st
 }
 
 func (j *job) snapshot() jobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status
+	return j.view()
 }
 
-// summary is snapshot without the event trace, for listings: a full
-// report of a hot run carries thousands of events.
-func (j *job) summary() jobStatus {
-	st := j.snapshot()
+// summary is the status without the event trace, for listings and
+// cancel conflicts: a full report of a hot run carries thousands of
+// events. These answers are about how a job ended, so once the run has
+// returned, summary waits (until ctx is done) for the terminal record to
+// be published rather than show a finished run as running.
+func (j *job) summary(ctx context.Context) jobStatus {
+	defer j.wakeOnDone(ctx)()
+	j.mu.Lock()
+	for j.ended && !j.rec.State.Terminal() && ctx.Err() == nil {
+		j.cond.Wait()
+	}
+	st := j.view()
+	j.mu.Unlock()
 	if st.Report != nil && st.Report.Trace != nil {
 		rep := *st.Report
 		rep.Trace = nil
 		st.Report = &rep
 	}
 	return st
-}
-
-func (j *job) isDone() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done
 }
 
 // errTooManyJobs is the backpressure signal of the job manager.
@@ -368,80 +382,93 @@ func (m *jobManager) newCheckpointStore(id string, retention int) (*runtime.Stor
 	return ck, nil
 }
 
-// persist appends one record, counting failures rather than
-// propagating them into the execution path: a full disk must degrade
-// durability, not abort runs. It reports whether the record was
-// committed, so callers can avoid destroying state (checkpoint
-// directories) whose durable record did not reach its terminal form.
-func (m *jobManager) persist(rec jobstore.Record) bool {
-	if err := m.store.Append(rec); err != nil {
-		m.storeErrors.Add(1)
-		return false
-	}
-	return true
-}
-
-// transition bumps the job's record version, applies mut, and persists
-// the result, reporting whether the append was committed. A recorder
-// attached to the job sees every transition, normalized, in order.
+// transition journals the job's next record: mut applied to the current
+// one, with the version bumped and the update stamped. It is the only
+// writer of a job's record, and readers see the new record only once
+// store.Append has returned. A failed append is counted, not propagated
+// into the run (a full disk must degrade durability, not abort runs);
+// the result reports whether it committed, so callers can keep state
+// (checkpoint directories) whose record did not reach its terminal
+// form. Transitions of one job never race: one goroutine at a time owns
+// its lifecycle, the registering caller and then the run. An attached
+// recorder sees every transition, normalized, in order.
 func (m *jobManager) transition(j *job, mut func(*jobstore.Record)) bool {
 	j.mu.Lock()
-	j.rec.Version++
-	j.rec.UpdatedAt = time.Now().UTC()
-	mut(&j.rec)
-	rec := j.rec
-	recorder := j.recorder
+	rec, recorder := j.rec, j.recorder
 	j.mu.Unlock()
+	rec.Version++
+	rec.UpdatedAt = time.Now().UTC()
+	mut(&rec)
 	if recorder != nil {
 		recorder.Lifecycle(rec)
 	}
-	return m.persist(rec)
+	err := m.store.Append(rec)
+	if err != nil {
+		m.storeErrors.Add(1)
+	}
+	j.mu.Lock()
+	j.rec = rec
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	return err == nil
 }
 
-// create registers a new job and persists its created and planned
-// transitions (the schedule is already known: planning precedes
-// admission). reqSeed is the client's requested RNG seed; 0 derives one
-// from the job's sequence number. The resolved seed is returned and
-// travels in the durable record, so a failed run can always be
-// reproduced from its journal alone.
-func (m *jobManager) create(st jobStatus, spec, sched json.RawMessage, fingerprint string, reqSeed uint64) (*job, uint64, error) {
+// admission is the transitions that bring a new job into service:
+// created, then planned with its schedule and predicted makespan
+// (planning precedes admission).
+func admission(sched json.RawMessage, predicted float64) []func(*jobstore.Record) {
+	return []func(*jobstore.Record){
+		func(r *jobstore.Record) { r.State = jobstore.StateCreated },
+		func(r *jobstore.Record) {
+			r.State, r.Schedule, r.Predicted = jobstore.StatePlanned, sched, predicted
+		},
+	}
+}
+
+// register enters a job into the table and journals, in order, the
+// transitions that bring it into service, returning the records they
+// journaled: what a recorder attached afterwards must see first.
+//
+// A record without an id is a new job. It is admitted against the
+// running cap, evicts the oldest finished jobs beyond the table's
+// bound, and is numbered and stamped here; its seed is the requested
+// rec.Seed, else its sequence number, and travels in the durable record
+// so a failed run can always be reproduced from its journal alone. A
+// journaled record (resumed, or adopted as it ended) keeps its
+// identity, and numbering continues past it.
+func (m *jobManager) register(rec jobstore.Record, steps ...func(*jobstore.Record)) (*job, []jobstore.Record, error) {
 	m.mu.Lock()
-	running := 0
-	for _, j := range m.jobs {
-		if !j.isDone() {
-			running++
+	var evicted []string
+	if rec.ID == "" {
+		if m.runningLocked() >= m.maxRunning {
+			m.mu.Unlock()
+			return nil, nil, errTooManyJobs
+		}
+		evicted = m.evictLocked()
+		m.accepted.Inc()
+		rec.Seq = m.seq + 1
+		rec.ID = fmt.Sprintf("job-%d", rec.Seq)
+		if rec.Seed == 0 {
+			rec.Seed = rec.Seq
+		}
+		rec.CreatedAt = time.Now().UTC()
+	}
+	m.seq = max(m.seq, rec.Seq)
+	j := &job{rec: rec, ended: rec.State.Terminal()}
+	j.cond = sync.NewCond(&j.mu)
+	if len(rec.Report) > 0 {
+		var rep runtime.Report
+		if err := json.Unmarshal(rec.Report, &rep); err == nil {
+			j.report = &rep
 		}
 	}
-	if running >= m.maxRunning {
-		m.mu.Unlock()
-		return nil, 0, errTooManyJobs
-	}
-	evicted := m.evictLocked()
-	m.accepted.Inc()
-	m.seq++
-	seq := m.seq
-	seed := reqSeed
-	if seed == 0 {
-		seed = seq
-	}
-	st.ID = fmt.Sprintf("job-%d", seq)
-	st.Status = "running"
-	st.CreatedAt = time.Now().UTC()
-	rec := jobstore.Record{
-		ID: st.ID, Seq: seq, Version: 2, State: jobstore.StatePlanned,
-		CreatedAt: st.CreatedAt, UpdatedAt: st.CreatedAt,
-		Fingerprint: fingerprint, Algorithm: st.Algorithm, Adaptive: st.Adaptive,
-		Seed: seed, Spec: spec, Schedule: sched, Predicted: st.Predicted,
-	}
-	j := newJob(st, rec)
-	m.jobs[st.ID] = j
-	m.order = append(m.order, st.ID)
+	m.jobs[rec.ID] = j
+	m.order = append(m.order, rec.ID)
 	m.mu.Unlock()
 
 	// All disk work — tombstoning and checkpoint cleanup for evicted
-	// jobs, the fsync'd created/planned appends — happens outside the
-	// manager lock, so durability never serializes the whole job API
-	// behind the disk.
+	// jobs, the fsync'd transitions — happens outside the manager lock,
+	// so durability never serializes the whole job API behind the disk.
 	for _, id := range evicted {
 		if err := m.store.Delete(id); err != nil {
 			m.storeErrors.Add(1)
@@ -450,89 +477,24 @@ func (m *jobManager) create(st jobStatus, spec, sched json.RawMessage, fingerpri
 			os.RemoveAll(dir)
 		}
 	}
-	created := rec
-	created.Version, created.State = 1, jobstore.StateCreated
-	created.Schedule, created.Predicted = nil, 0
-	m.persist(created)
-	m.persist(rec)
-	return j, seed, nil
+	journaled := make([]jobstore.Record, 0, len(steps))
+	for _, step := range steps {
+		m.transition(j, step)
+		journaled = append(journaled, j.record())
+	}
+	return j, journaled, nil
 }
 
-// initialRecords reconstructs the created/planned pair create persisted
-// for j, in order — what a recorder attached after admission must see
-// first.
-func (j *job) initialRecords() []jobstore.Record {
-	planned := j.record()
-	created := planned
-	created.Version, created.State = 1, jobstore.StateCreated
-	created.Schedule, created.Predicted = nil, 0
-	return []jobstore.Record{created, planned}
-}
-
-// adopt re-registers a job replayed from the durable store without
-// starting an execution — the restart path for terminal records. The
-// persisted report (trace-free) is restored into the listing.
-func (m *jobManager) adopt(rec jobstore.Record) *job {
-	st := jobStatus{
-		ID: rec.ID, Status: string(rec.State), Adaptive: rec.Adaptive,
-		Algorithm: rec.Algorithm, Predicted: rec.Predicted,
-		Resumes: rec.Resumes, CreatedAt: rec.CreatedAt, Error: rec.Error,
-	}
-	if len(rec.Report) > 0 {
-		var rep runtime.Report
-		if err := json.Unmarshal(rec.Report, &rep); err == nil {
-			st.Report = &rep
-		}
-	}
-	j := newJob(st, rec)
-	j.done = true
-	m.mu.Lock()
-	if rec.Seq > m.seq {
-		m.seq = rec.Seq
-	}
-	m.jobs[rec.ID] = j
-	m.order = append(m.order, rec.ID)
-	m.mu.Unlock()
-	return j
-}
-
-// adoptRunning re-registers an interrupted job as running again,
-// persisting a running transition with the (possibly re-spliced)
-// schedule and bumped resume counter.
-func (m *jobManager) adoptRunning(rec jobstore.Record, sched json.RawMessage) *job {
-	rec.Resumes++
-	st := jobStatus{
-		ID: rec.ID, Status: "running", Adaptive: rec.Adaptive,
-		Algorithm: rec.Algorithm, Predicted: rec.Predicted,
-		Resumes: rec.Resumes, CreatedAt: rec.CreatedAt,
-	}
-	j := newJob(st, rec)
-	m.mu.Lock()
-	if rec.Seq > m.seq {
-		m.seq = rec.Seq
-	}
-	m.jobs[rec.ID] = j
-	m.order = append(m.order, rec.ID)
-	m.mu.Unlock()
-	m.transition(j, func(r *jobstore.Record) {
-		r.State = jobstore.StateRunning
-		if sched != nil {
-			r.Schedule = sched
-		}
-	})
-	return j
-}
-
-// evictLocked drops the oldest finished jobs beyond the retention
-// bound from the in-memory map, returning their ids; caller holds m.mu
-// and performs the disk half (store tombstone, checkpoint-directory
-// removal) after releasing it.
+// evictLocked drops the oldest jobs whose terminal record is published
+// beyond the retention bound from the in-memory map, returning their
+// ids; caller holds m.mu and performs the disk half (store tombstone,
+// checkpoint-directory removal) after releasing it.
 func (m *jobManager) evictLocked() []string {
 	var evicted []string
 	for len(m.jobs) >= m.maxJobs {
 		found := false
 		for i, id := range m.order {
-			if j, ok := m.jobs[id]; ok && j.isDone() {
+			if j, ok := m.jobs[id]; ok && j.record().State.Terminal() {
 				delete(m.jobs, id)
 				m.order = append(m.order[:i], m.order[i+1:]...)
 				evicted = append(evicted, id)
@@ -570,14 +532,20 @@ func (m *jobManager) progress(j *job, boundary int, est runtime.EstimatorState, 
 	})
 }
 
-// finish seals the job and persists its terminal transition. The
-// persisted report drops the trace (the event log of a long run dwarfs
-// the record); the in-memory job keeps it for /events followers. A
-// finished job's checkpoints are garbage and their directory is
-// removed.
-func (m *jobManager) finish(j *job, rep *runtime.Report, err error) {
-	j.finish(rep, err)
-	st := j.snapshot()
+// finish ends the job's run and journals its outcome: the one place a
+// run's result maps to done, failed or cancelled. Event followers are
+// released first; the status turns terminal once the store has taken
+// the terminal record. The persisted report drops the trace (the event
+// log of a long run dwarfs the record). A finished job's checkpoints
+// are garbage and their directory is removed.
+func (m *jobManager) finish(j *job, rep *runtime.Report, err error) jobstore.State {
+	state, msg := jobstore.StateDone, ""
+	if cancelled := j.end(rep); err != nil {
+		state, msg = jobstore.StateFailed, err.Error()
+		if cancelled {
+			state = jobstore.StateCancelled
+		}
+	}
 	var repJSON json.RawMessage
 	if rep != nil {
 		trimmed := *rep
@@ -587,16 +555,7 @@ func (m *jobManager) finish(j *job, rep *runtime.Report, err error) {
 		}
 	}
 	persisted := m.transition(j, func(r *jobstore.Record) {
-		switch st.Status {
-		case "done":
-			r.State = jobstore.StateDone
-		case "cancelled":
-			r.State = jobstore.StateCancelled
-		default:
-			r.State = jobstore.StateFailed
-		}
-		r.Error = st.Error
-		r.Report = repJSON
+		r.State, r.Error, r.Report = state, msg, repJSON
 		if rep != nil {
 			r.Progress = rep.FinalSchedule.Len()
 		}
@@ -605,9 +564,10 @@ func (m *jobManager) finish(j *job, rep *runtime.Report, err error) {
 	// if the append failed (store closed mid-shutdown, disk full), the
 	// record still says running and the next boot must be able to resume
 	// from these files instead of re-executing the chain.
-	if dir := m.ckptDir(st.ID); dir != "" && persisted {
+	if dir := m.ckptDir(j.record().ID); dir != "" && persisted {
 		os.RemoveAll(dir)
 	}
+	return state
 }
 
 func (m *jobManager) get(id string) (*job, bool) {
@@ -617,35 +577,75 @@ func (m *jobManager) get(id string) (*job, bool) {
 	return j, ok
 }
 
-func (m *jobManager) list() []jobStatus {
+// list summarizes the retained jobs in creation order.
+func (m *jobManager) list(ctx context.Context) []jobStatus {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]jobStatus, 0, len(m.jobs))
+	jobs := make([]*job, 0, len(m.order))
 	for _, id := range m.order {
 		if j, ok := m.jobs[id]; ok {
-			out = append(out, j.summary())
+			jobs = append(jobs, j)
 		}
+	}
+	m.mu.Unlock()
+	out := make([]jobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.summary(ctx)
 	}
 	return out
 }
 
+// running counts the jobs whose run has not returned.
 func (m *jobManager) running() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.runningLocked()
+}
+
+func (m *jobManager) runningLocked() int {
 	running := 0
 	for _, j := range m.jobs {
-		if !j.isDone() {
+		j.mu.Lock()
+		if !j.ended {
 			running++
 		}
+		j.mu.Unlock()
 	}
 	return running
 }
 
+// start launches a registered job: it attaches the job's recorder,
+// seeded with the lifecycle records registration journaled (initial),
+// builds the runtime.Job from the compiled request and launches it.
+// sched is the schedule to execute and ck the job's checkpoint store;
+// est, non-nil for a resumed job, seeds the rate estimators with the
+// evidence of its earlier lives and resumes the run from ck's newest
+// checkpoint.
+func (s *server) start(j *job, initial []jobstore.Record, jr *jobRequest, req engine.Request,
+	c *chain.Chain, sched *schedule.Schedule, ck *runtime.Store, est *runtime.EstimatorState) {
+	rec := j.record()
+	resume := est != nil
+	recorder := replay.NewRecorder(recorderMeta(
+		jr, rec.Seed, string(req.Algorithm), rec.Fingerprint, c, sched, resume))
+	j.attachRecorder(recorder, initial...)
+	s.launch(j, recorder, runtime.Job{
+		Chain:              c,
+		Platform:           req.Platform,
+		Schedule:           sched,
+		Algorithm:          req.Algorithm,
+		Costs:              req.Opts.Costs,
+		MaxDiskCheckpoints: req.Opts.MaxDiskCheckpoints,
+		Runner:             jr.newRunner(req.Platform, rec.Seed),
+		Store:              ck,
+		Resume:             resume,
+		Estimator:          est,
+	}, jr.Adaptive)
+}
+
 // launch starts the job's execution goroutine, wiring the event
-// observer, the durable progress hook and the cancel handle. A recorder
-// attached to the job is chained into both hooks and sealed once the
-// terminal transition is journaled, so its recording carries the full
-// lifecycle including how the job ended.
+// observer, the durable progress hook and the cancel handle. The
+// recorder is chained into both hooks and sealed once the terminal
+// transition is journaled, so its recording carries the full lifecycle
+// including how the job ended.
 //
 // The execution also roots a trace under the job's id: the span rides
 // the context into the supervisor, which hangs its per-task, verify,
@@ -653,10 +653,11 @@ func (m *jobManager) running() int {
 // GET /v1/jobs/{id}/spans serves. Spans measure wall time only and
 // never touch the recorder, so the replay recording stays byte-stable
 // with tracing on or off.
-func (s *server) launch(j *job, runJob runtime.Job, adaptive bool) {
+func (s *server) launch(j *job, recorder *replay.Recorder, runJob runtime.Job, adaptive bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.setCancel(cancel)
-	root := s.obs.jobTracer.StartTrace(j.snapshot().ID, "job")
+	id := j.record().ID
+	root := s.obs.jobTracer.StartTrace(id, "job")
 	if root != nil {
 		root.SetAttr("algorithm", string(runJob.Algorithm))
 		if adaptive {
@@ -667,19 +668,12 @@ func (s *server) launch(j *job, runJob runtime.Job, adaptive bool) {
 		}
 		ctx = obs.ContextWithSpan(ctx, root)
 	}
-	recorder := j.getRecorder()
-	runJob.Observer = j.append
-	runJob.Record = true
-	if recorder != nil {
-		runJob.Observer = func(ev sim.TraceEvent) {
-			recorder.Observe(ev)
-			j.append(ev)
-		}
+	runJob.Observer = func(ev sim.TraceEvent) {
+		recorder.Observe(ev)
+		j.append(ev)
 	}
 	runJob.Progress = func(b int, est runtime.EstimatorState, sched *schedule.Schedule) {
-		if recorder != nil {
-			recorder.Progress(b, est, sched)
-		}
+		recorder.Progress(b, est, sched)
 		s.jobs.progress(j, b, est, sched)
 	}
 	go func() {
@@ -695,30 +689,26 @@ func (s *server) launch(j *job, runJob runtime.Job, adaptive bool) {
 		// checkpoint directory is removed once its terminal record is
 		// durable, and the recording must capture the tier as the run
 		// left it.
-		if recorder != nil {
-			recorder.Checkpoints(runJob.Store)
-		}
-		s.jobs.finish(j, rep, err)
+		recorder.Checkpoints(runJob.Store)
+		state := s.jobs.finish(j, rep, err)
 		if root != nil {
-			root.SetAttr("status", j.snapshot().Status)
+			root.SetAttr("status", string(state))
 			root.End()
 		}
-		if recorder != nil {
-			recording, ferr := recorder.Finish(rep, nil)
-			var data []byte
-			if ferr == nil {
-				data, ferr = recording.Canonical()
-			}
-			// Mirror before sealing: the trace endpoint answers once the
-			// recording is sealed, and the file must exist by then.
-			if ferr == nil {
-				s.writeRecording(j.snapshot().ID, data)
-			}
-			j.sealRecording(data, ferr)
+		recording, ferr := recorder.Finish(rep, nil)
+		var data []byte
+		if ferr == nil {
+			data, ferr = recording.Canonical()
 		}
-		// finish classifies a cancel as "cancelled", which is not a
-		// failure: only genuine failures feed the error-rate metric.
-		if j.snapshot().Status == "failed" {
+		// Mirror before sealing: the trace endpoint answers once the
+		// recording is sealed, and the file must exist by then.
+		if ferr == nil {
+			s.writeRecording(id, data)
+		}
+		j.sealRecording(data, ferr)
+		// A cancel is not a failure: only genuine failures feed the
+		// error-rate metric.
+		if state == jobstore.StateFailed {
 			s.jobErrors.Add(1)
 		}
 	}()
@@ -817,70 +807,62 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	fingerprint := jobFingerprint(req)
 
-	j, seed, err := s.jobs.create(jobStatus{
-		Adaptive:  jr.Adaptive,
-		Algorithm: string(res.Algorithm),
-		Predicted: res.ExpectedMakespan,
-	}, spec, schedJSON, fingerprint, jr.Seed)
+	j, initial, err := s.jobs.register(jobstore.Record{
+		Fingerprint: jobFingerprint(req), Algorithm: string(res.Algorithm),
+		Adaptive: jr.Adaptive, Seed: jr.Seed, Spec: spec,
+	}, admission(schedJSON, res.ExpectedMakespan)...)
 	if err != nil {
 		writeTooManyRequests(w, s.opsCfg.RetryAfter, err)
 		return
 	}
-	ck, err := s.jobs.newCheckpointStore(j.snapshot().ID, jr.Retention)
+	ck, err := s.jobs.newCheckpointStore(j.record().ID, jr.Retention)
 	if err != nil {
 		s.jobs.finish(j, nil, err)
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	j.attachRecorder(replay.NewRecorder(recorderMeta(
-		&jr, seed, string(res.Algorithm), fingerprint, c, res.Schedule, false,
-	)), j.initialRecords()...)
-	s.launch(j, runtime.Job{
-		Chain:              c,
-		Platform:           req.Platform,
-		Schedule:           res.Schedule,
-		Algorithm:          req.Algorithm,
-		Costs:              req.Opts.Costs,
-		MaxDiskCheckpoints: req.Opts.MaxDiskCheckpoints,
-		Runner:             jr.newRunner(req.Platform, seed),
-		Store:              ck,
-	}, jr.Adaptive)
+	s.start(j, initial, &jr, req, c, res.Schedule, ck, nil)
 
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
-func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+// lookup finds the job the request's {id} names, answering 404 when
+// there is none.
+func (s *server) lookup(w http.ResponseWriter, r *http.Request) (*job, bool) {
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
 	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	return j, ok
+}
+
+func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, j.snapshot())
+	}
 }
 
 func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list(r.Context())})
 }
 
 // handleJobCancel stops a running job; its terminal state is persisted
-// as cancelled. Cancelling a job that already reached a terminal state
-// is a conflict, not a success: the response is 409 with the terminal
-// state in the body, so an at-least-once cancel client can tell "I
-// stopped it" (202) apart from "it had already ended as X" instead of
-// mistaking a done job for a cancelled one.
+// as cancelled. Cancelling a job whose run already returned is a
+// conflict, not a success: the response is 409 with the terminal state
+// in the body, so an at-least-once cancel client can tell "I stopped
+// it" (202) apart from "it had already ended as X" instead of mistaking
+// a done job for a cancelled one.
 func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if j.requestCancel() {
 		writeJSON(w, http.StatusAccepted, map[string]string{"status": "cancelling"})
 		return
 	}
-	writeJSON(w, http.StatusConflict, j.summary())
+	writeJSON(w, http.StatusConflict, j.summary(r.Context()))
 }
 
 // handleJobTrace serves the job's sealed replay recording in canonical
@@ -892,20 +874,12 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // diffs. Blocks until the run is sealed; 409 for jobs adopted from a
 // previous service life (their execution was never recorded).
 func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	// Unblock waitRecording when the client disconnects.
 	ctx := r.Context()
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
-
+	defer j.wakeOnDone(ctx)()
 	data, err := j.waitRecording(ctx)
 	switch {
 	case errors.Is(err, errNoRecording):
@@ -922,26 +896,18 @@ func (s *server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobEvents streams the job's event log as NDJSON, following the
-// execution live until it completes (or the client goes away).
+// execution live until its run returns (or the client goes away).
 func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	// Unblock next() when the client disconnects.
 	ctx := r.Context()
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
-
+	defer j.wakeOnDone(ctx)()
 	enc := json.NewEncoder(w)
 	from := 0
 	for {

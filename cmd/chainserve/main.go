@@ -155,7 +155,7 @@ func main() {
 	opsCfg := opsDefaults
 	opsCfg.AdmitConcurrent = *admitConcurrent
 	opsCfg.AdmitQueue = *admitQueue
-	srv := newServerWithOps(engine.New(engine.Options{
+	srv := newServer(engine.New(engine.Options{
 		Workers: *workers, CacheSize: memo,
 		SolveWorkers: engineWorkers, Metrics: plane.engine,
 	}), store, *storeDir, plane, opsCfg)
@@ -263,33 +263,13 @@ type server struct {
 	admission  *ops.Controller
 }
 
-// newServer builds a server with volatile jobs — the store-less
-// configuration tests use.
-func newServer(eng *engine.Engine) *server {
-	return newServerWithStore(eng, jobstore.NewMemory(), "")
-}
-
-// newServerWithStore builds a server whose job lifecycle is persisted
-// through store, with per-job checkpoint directories under storeDir
-// (empty = volatile checkpoints). Call recoverJobs afterwards to replay
-// the store. The server gets its own observability plane; engine and
-// jobstore histograms only fill when the caller wired the plane's
-// metrics in at construction, as main does via newServerWithObs.
-func newServerWithStore(eng *engine.Engine, store jobstore.Store, storeDir string) *server {
-	return newServerWithObs(eng, store, storeDir, newObsPlane())
-}
-
-// newServerWithObs builds a server over an existing observability
-// plane — the one whose engine/jobstore metric handles were passed to
-// engine.New and jobstore.Open, so all layers share one registry.
-func newServerWithObs(eng *engine.Engine, store jobstore.Store, storeDir string, plane *obsPlane) *server {
-	return newServerWithOps(eng, store, storeDir, plane, defaultOpsConfig())
-}
-
-// newServerWithOps is newServerWithObs with an explicit ops-plane
-// configuration (admission bounds and Retry-After hint) — what main
-// builds from flags.
-func newServerWithOps(eng *engine.Engine, store jobstore.Store, storeDir string, plane *obsPlane, cfg opsConfig) *server {
+// newServer builds a server whose job lifecycle is persisted through
+// store, with per-job checkpoint directories under storeDir (empty =
+// volatile checkpoints), over the observability plane whose engine and
+// jobstore metric handles were passed to engine.New and jobstore.Open
+// (so all layers share one registry), and with the admission bounds of
+// cfg. Call recoverJobs afterwards to replay the store.
+func newServer(eng *engine.Engine, store jobstore.Store, storeDir string, plane *obsPlane, cfg opsConfig) *server {
 	s := &server{
 		eng:     eng,
 		sup:     runtime.New(runtime.Options{Engine: eng, Metrics: plane.runtime}),

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"chainckpt/internal/jobstore"
 	"chainckpt/internal/platform"
 	"chainckpt/internal/runtime"
+	"chainckpt/internal/schedule"
 	"chainckpt/internal/sim"
 	"chainckpt/internal/workload"
 )
@@ -24,7 +26,7 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 4})
 	t.Cleanup(eng.Close)
-	srv := newServer(eng)
+	srv := newServer(eng, jobstore.NewMemory(), "", newObsPlane(), defaultOpsConfig())
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -511,7 +513,7 @@ func TestJobManagerRetentionAndBackpressure(t *testing.T) {
 
 	mk := func() *job {
 		t.Helper()
-		j, _, err := m.create(jobStatus{}, nil, nil, "", 0)
+		j, _, err := m.register(jobstore.Record{}, admission(nil, 0)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,13 +521,13 @@ func TestJobManagerRetentionAndBackpressure(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	// Both running: the cap rejects a third.
-	if _, _, err := m.create(jobStatus{}, nil, nil, "", 0); err == nil {
+	if _, _, err := m.register(jobstore.Record{}, admission(nil, 0)...); err == nil {
 		t.Fatal("running cap did not reject")
 	}
-	a.finish(nil, nil)
-	b.finish(nil, nil)
+	m.finish(a, nil, nil)
+	m.finish(b, nil, nil)
 	c := mk()
-	c.finish(nil, nil)
+	m.finish(c, nil, nil)
 	// Retention (3): creating a fourth evicts the oldest finished job.
 	d := mk()
 	if _, ok := m.get("job-1"); ok {
@@ -534,13 +536,16 @@ func TestJobManagerRetentionAndBackpressure(t *testing.T) {
 	if _, ok := m.get(d.snapshot().ID); !ok {
 		t.Error("new job missing")
 	}
-	if got := len(m.list()); got != 3 {
+	ctx := context.Background()
+	if got := len(m.list(ctx)); got != 3 {
 		t.Errorf("listing has %d jobs, want 3", got)
 	}
-	// Listings strip the trace but keep the report.
+	// Listings strip the trace but keep the report, whose trace is the
+	// job's event log.
 	e := mk()
-	e.finish(&runtime.Report{Makespan: 1, Trace: []sim.TraceEvent{{Kind: "done"}}}, nil)
-	for _, st := range m.list() {
+	e.append(sim.TraceEvent{Kind: "done"})
+	m.finish(e, &runtime.Report{Makespan: 1, FinalSchedule: schedule.MustNew(1)}, nil)
+	for _, st := range m.list(ctx) {
 		if st.Report != nil && st.Report.Trace != nil {
 			t.Error("listing leaked a full trace")
 		}

@@ -160,11 +160,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // the trace start. 404 for jobs the tracer never saw (adopted from a
 // previous service life) or whose trace aged out of the ring.
 func (s *server) handleJobSpans(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.jobs.get(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+	if _, ok := s.lookup(w, r); !ok {
 		return
 	}
+	id := r.PathValue("id")
 	td := s.obs.jobTracer.Dump(id)
 	if td == nil {
 		writeError(w, http.StatusNotFound,

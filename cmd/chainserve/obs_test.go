@@ -28,7 +28,7 @@ func newInstrumentedServer(t *testing.T) (*server, *httptest.Server) {
 	plane := newObsPlane()
 	eng := engine.New(engine.Options{Workers: 2, Metrics: plane.engine})
 	t.Cleanup(eng.Close)
-	srv := newServerWithObs(eng, jobstore.NewMemory(), "", plane)
+	srv := newServer(eng, jobstore.NewMemory(), "", plane, defaultOpsConfig())
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -247,7 +247,7 @@ func TestRecordingUnchangedByTracing(t *testing.T) {
 	bare.engine, bare.runtime, bare.jobstore = nil, nil, nil
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
-	srv := newServerWithObs(eng, jobstore.NewMemory(), "", bare)
+	srv := newServer(eng, jobstore.NewMemory(), "", bare, defaultOpsConfig())
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 
@@ -273,7 +273,7 @@ func TestMetricsReferenceMatchesScrape(t *testing.T) {
 	t.Cleanup(func() { journal.Close() })
 	eng := engine.New(engine.Options{Workers: 2, Metrics: plane.engine})
 	t.Cleanup(eng.Close)
-	ts := httptest.NewServer(newServerWithObs(eng, journal, dir, plane).mux())
+	ts := httptest.NewServer(newServer(eng, journal, dir, plane, defaultOpsConfig()).mux())
 	t.Cleanup(ts.Close)
 
 	postJSON(t, ts.URL+"/v1/plan", `{"algorithm":"ADMV","platform":"Hera","pattern":"uniform","n":12}`)

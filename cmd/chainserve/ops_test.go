@@ -21,7 +21,7 @@ func newOpsTestServer(t *testing.T, engOpts engine.Options, cfg opsConfig) (*ser
 	t.Helper()
 	eng := engine.New(engOpts)
 	t.Cleanup(eng.Close)
-	srv := newServerWithOps(eng, jobstore.NewMemory(), "", newObsPlane(), cfg)
+	srv := newServer(eng, jobstore.NewMemory(), "", newObsPlane(), cfg)
 	t.Cleanup(srv.admission.Close)
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)

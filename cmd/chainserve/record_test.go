@@ -156,7 +156,7 @@ func TestTraceOfAdoptedJobConflicts(t *testing.T) {
 	}
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv := newServerWithStore(eng, st, dir)
+	srv := newServer(eng, st, dir, newObsPlane(), defaultOpsConfig())
 	if resumed, adopted := srv.recoverJobs(context.Background()); resumed != 0 || adopted != 1 {
 		t.Fatalf("recoverJobs = (%d, %d), want (0, 1)", resumed, adopted)
 	}

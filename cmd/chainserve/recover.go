@@ -19,11 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"chainckpt/internal/chain"
-	"chainckpt/internal/core"
-	"chainckpt/internal/engine"
 	"chainckpt/internal/jobstore"
-	"chainckpt/internal/replay"
 	"chainckpt/internal/runtime"
 	"chainckpt/internal/schedule"
 )
@@ -36,20 +32,13 @@ import (
 func (s *server) recoverJobs(ctx context.Context) (resumed, adopted int) {
 	for _, rec := range s.jobs.store.List() {
 		if rec.State.Terminal() {
-			s.jobs.adopt(rec)
+			s.jobs.register(rec)
 			adopted++
 			continue
 		}
 		if err := s.resumeJob(ctx, rec); err != nil {
-			j := s.jobs.adopt(rec)
-			s.jobs.transition(j, func(r *jobstore.Record) {
-				r.State = jobstore.StateFailed
-				r.Error = fmt.Sprintf("resume: %v", err)
-			})
-			j.mu.Lock()
-			j.status.Status = "failed"
-			j.status.Error = j.rec.Error
-			j.mu.Unlock()
+			j, _, _ := s.jobs.register(rec)
+			s.jobs.finish(j, nil, fmt.Errorf("resume: %w", err))
 			continue
 		}
 		resumed++
@@ -99,7 +88,8 @@ func (s *server) resumeJob(ctx context.Context, rec jobstore.Record) error {
 
 	// Reconcile with the checkpoint directory: the last verifiable disk
 	// checkpoint decides where execution restarts, and the suffix after
-	// it is re-planned in place under the persisted rate evidence.
+	// it is re-planned in place under the platform rates the persisted
+	// evidence supports.
 	ck, err := s.jobs.newCheckpointStore(rec.ID, jr.Retention)
 	if err != nil {
 		return err
@@ -109,11 +99,12 @@ func (s *server) resumeJob(ctx context.Context, rec jobstore.Record) error {
 		return fmt.Errorf("checkpoint scan: %w", err)
 	}
 	if from > 0 && from < c.Len() {
-		if res, err := s.replanSuffix(req, c, sched, est, from); err == nil {
-			sched.SpliceSuffix(from, res.Schedule)
-		}
 		// A failed suffix re-plan is not fatal: the persisted schedule
 		// still executes correctly under the modeled rates.
+		if res, err := runtime.ReplanSuffix(ctx, s.eng.Kernel(), req.Algorithm, c,
+			est.ReplanPlatform(req.Platform, 0), sched, from, req.Opts); err == nil {
+			sched.SpliceSuffix(from, res.Schedule)
+		}
 	}
 
 	schedJSON, err := json.Marshal(sched)
@@ -123,75 +114,19 @@ func (s *server) resumeJob(ctx context.Context, rec jobstore.Record) error {
 	// The seed the interrupted run used: explicit in the spec, else the
 	// one the admission handler derived and journaled; rec.Seq covers
 	// journals written before seeds were persisted.
-	seed := jr.Seed
-	if seed == 0 {
-		seed = rec.Seed
+	switch {
+	case jr.Seed != 0:
+		rec.Seed = jr.Seed
+	case rec.Seed == 0:
+		rec.Seed = rec.Seq
 	}
-	if seed == 0 {
-		seed = rec.Seq
-	}
-	rec.Seed = seed
-	j := s.jobs.adoptRunning(rec, schedJSON)
 	// The resumed life is recorded like any fresh run; its first
-	// lifecycle record is the running transition adoptRunning persisted.
-	j.attachRecorder(replay.NewRecorder(recorderMeta(
-		&jr, seed, string(req.Algorithm), rec.Fingerprint, c, sched, true,
-	)), j.record())
-	s.launch(j, runtime.Job{
-		Chain:              c,
-		Platform:           req.Platform,
-		Schedule:           sched,
-		Algorithm:          req.Algorithm,
-		Costs:              req.Opts.Costs,
-		MaxDiskCheckpoints: req.Opts.MaxDiskCheckpoints,
-		Runner:             jr.newRunner(req.Platform, seed),
-		Store:              ck,
-		Resume:             true,
-		Estimator:          &est,
-	}, jr.Adaptive)
+	// lifecycle record is the running transition registration journals,
+	// with the (possibly re-spliced) schedule and the resume counted.
+	j, initial, _ := s.jobs.register(rec, func(r *jobstore.Record) {
+		r.State, r.Schedule = jobstore.StateRunning, schedJSON
+		r.Resumes++
+	})
+	s.start(j, initial, &jr, req, c, sched, ck, &est)
 	return nil
-}
-
-// replanSuffix re-solves the dynamic program for the window after
-// boundary from, under the platform rates the persisted estimator
-// evidence supports and the disk-checkpoint budget not yet spent on the
-// committed prefix. It goes straight to the engine's solver kernel:
-// pooled scratch sized to the suffix, no synthetic suffix chain, no
-// full-chain re-solve.
-func (s *server) replanSuffix(req engine.Request, c *chain.Chain, sched *schedule.Schedule,
-	est runtime.EstimatorState, from int) (*core.Result, error) {
-	updated := est.ReplanPlatform(req.Platform, 0)
-	opts := core.Options{Costs: req.Opts.Costs, SolveWorkers: 1}
-	rem, err := suffixBudget(sched, from, req.Opts.MaxDiskCheckpoints, c.Len())
-	if err != nil {
-		return nil, err
-	}
-	opts.MaxDiskCheckpoints = rem
-	return s.eng.Kernel().ReplanSuffix(req.Algorithm, c, updated, from, opts)
-}
-
-// suffixBudget returns the disk-checkpoint budget left for the window
-// after boundary from: the whole-run budget minus the checkpoints the
-// committed prefix has already spent, clamped to the suffix length.
-// max <= 0 means unlimited (returns 0, the solver's "no bound"); an
-// exhausted budget is an error — the suffix cannot be re-planned, its
-// mandatory final checkpoint alone would bust the bound.
-func suffixBudget(sched *schedule.Schedule, from, max, n int) (int, error) {
-	if max <= 0 {
-		return 0, nil
-	}
-	used := 0
-	for pos := 1; pos <= from; pos++ {
-		if sched.At(pos).Has(schedule.Disk) {
-			used++
-		}
-	}
-	rem := max - used
-	if rem < 1 {
-		return 0, fmt.Errorf("no disk-checkpoint budget left for the suffix")
-	}
-	if m := n - from; rem > m {
-		rem = m
-	}
-	return rem, nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestCrashRecoveryResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng1 := engine.New(engine.Options{Workers: 2})
-	srv1 := newServerWithStore(eng1, st1, dir)
+	srv1 := newServer(eng1, st1, dir, newObsPlane(), defaultOpsConfig())
 
 	var jr jobRequest
 	if err := json.Unmarshal([]byte(resumeSpec), &jr); err != nil {
@@ -64,13 +65,14 @@ func TestCrashRecoveryResumesInterruptedJob(t *testing.T) {
 	spec, _ := json.Marshal(&jr)
 	schedJSON, _ := json.Marshal(res.Schedule)
 	fp := jobFingerprint(req)
-	j1, seq, err := srv1.jobs.create(jobStatus{
-		Algorithm: string(res.Algorithm), Predicted: res.ExpectedMakespan,
-	}, spec, schedJSON, fp, 0)
+	j1, _, err := srv1.jobs.register(jobstore.Record{
+		Fingerprint: fp, Algorithm: string(res.Algorithm), Spec: spec,
+	}, admission(schedJSON, res.ExpectedMakespan)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := j1.snapshot().ID
+	rec1 := j1.record()
+	id, seq := rec1.ID, rec1.Seed
 
 	ck1, err := srv1.jobs.newCheckpointStore(id, jr.Retention)
 	if err != nil {
@@ -112,7 +114,7 @@ func TestCrashRecoveryResumesInterruptedJob(t *testing.T) {
 	t.Cleanup(func() { st2.Close() })
 	eng2 := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng2.Close)
-	srv2 := newServerWithStore(eng2, st2, dir)
+	srv2 := newServer(eng2, st2, dir, newObsPlane(), defaultOpsConfig())
 	resumed, adopted := srv2.recoverJobs(context.Background())
 	if resumed != 1 || adopted != 0 {
 		t.Fatalf("recoverJobs = (%d resumed, %d adopted), want (1, 0)", resumed, adopted)
@@ -171,11 +173,11 @@ func TestCrashRecoveryResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st3.Close() })
-	srv3 := newServerWithStore(eng2, st3, dir)
+	srv3 := newServer(eng2, st3, dir, newObsPlane(), defaultOpsConfig())
 	if resumed, adopted := srv3.recoverJobs(context.Background()); resumed != 0 || adopted != 1 {
 		t.Fatalf("third life recovered (%d, %d), want (0, 1)", resumed, adopted)
 	}
-	if got := srv3.jobs.list(); len(got) != 1 || got[0].Status != "done" {
+	if got := srv3.jobs.list(context.Background()); len(got) != 1 || got[0].Status != "done" {
 		t.Fatalf("third-life listing: %+v", got)
 	}
 }
@@ -209,7 +211,7 @@ func crashRecoveryAt(t *testing.T, specJSON string, k int) {
 		t.Fatal(err)
 	}
 	eng1 := engine.New(engine.Options{Workers: 2})
-	srv1 := newServerWithStore(eng1, st1, dir)
+	srv1 := newServer(eng1, st1, dir, newObsPlane(), defaultOpsConfig())
 
 	var jr jobRequest
 	if err := json.Unmarshal([]byte(specJSON), &jr); err != nil {
@@ -226,15 +228,16 @@ func crashRecoveryAt(t *testing.T, specJSON string, k int) {
 	}
 	spec, _ := json.Marshal(&jr)
 	schedJSON, _ := json.Marshal(res.Schedule)
-	j1, seed, err := srv1.jobs.create(jobStatus{
-		Algorithm: string(res.Algorithm), Predicted: res.ExpectedMakespan,
-	}, spec, schedJSON, "", jr.Seed)
+	j1, _, err := srv1.jobs.register(jobstore.Record{
+		Algorithm: string(res.Algorithm), Seed: jr.Seed, Spec: spec,
+	}, admission(schedJSON, res.ExpectedMakespan)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := j1.snapshot().ID
+	rec1 := j1.record()
+	id, seed := rec1.ID, rec1.Seed
 	if seed != jr.Seed {
-		t.Fatalf("create derived seed %d, spec asked for %d\n%s", seed, jr.Seed, repro)
+		t.Fatalf("register derived seed %d, spec asked for %d\n%s", seed, jr.Seed, repro)
 	}
 
 	ck1, err := srv1.jobs.newCheckpointStore(id, jr.Retention)
@@ -275,7 +278,7 @@ func crashRecoveryAt(t *testing.T, specJSON string, k int) {
 	t.Cleanup(func() { st2.Close() })
 	eng2 := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng2.Close)
-	srv2 := newServerWithStore(eng2, st2, dir)
+	srv2 := newServer(eng2, st2, dir, newObsPlane(), defaultOpsConfig())
 	if resumed, adopted := srv2.recoverJobs(context.Background()); resumed != 1 || adopted != 0 {
 		t.Fatalf("recoverJobs = (%d resumed, %d adopted), want (1, 0)\n%s", resumed, adopted, repro)
 	}
@@ -358,7 +361,7 @@ func TestCrashRecoveryWithRetentionLimitedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng1 := engine.New(engine.Options{Workers: 2})
-	srv1 := newServerWithStore(eng1, st1, dir)
+	srv1 := newServer(eng1, st1, dir, newObsPlane(), defaultOpsConfig())
 
 	var jr jobRequest
 	if err := json.Unmarshal([]byte(spec), &jr); err != nil {
@@ -375,11 +378,14 @@ func TestCrashRecoveryWithRetentionLimitedCheckpoints(t *testing.T) {
 	}
 	specJSON, _ := json.Marshal(&jr)
 	schedJSON, _ := json.Marshal(res.Schedule)
-	j1, seq, err := srv1.jobs.create(jobStatus{Algorithm: string(res.Algorithm)}, specJSON, schedJSON, "", jr.Seed)
+	j1, _, err := srv1.jobs.register(jobstore.Record{
+		Algorithm: string(res.Algorithm), Seed: jr.Seed, Spec: specJSON,
+	}, admission(schedJSON, 0)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := j1.snapshot().ID
+	rec1 := j1.record()
+	id, seq := rec1.ID, rec1.Seed
 
 	ck1, err := srv1.jobs.newCheckpointStore(id, jr.Retention)
 	if err != nil {
@@ -436,7 +442,7 @@ func TestCrashRecoveryWithRetentionLimitedCheckpoints(t *testing.T) {
 	t.Cleanup(func() { st2.Close() })
 	eng2 := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng2.Close)
-	srv2 := newServerWithStore(eng2, st2, dir)
+	srv2 := newServer(eng2, st2, dir, newObsPlane(), defaultOpsConfig())
 	if resumed, adopted := srv2.recoverJobs(context.Background()); resumed != 1 || adopted != 0 {
 		t.Fatalf("recoverJobs = (%d resumed, %d adopted), want (1, 0)", resumed, adopted)
 	}
@@ -472,7 +478,7 @@ func TestRecoverMarksUnresumableJobFailed(t *testing.T) {
 
 	eng := engine.New(engine.Options{Workers: 1})
 	t.Cleanup(eng.Close)
-	srv := newServerWithStore(eng, st, dir)
+	srv := newServer(eng, st, dir, newObsPlane(), defaultOpsConfig())
 	if resumed, adopted := srv.recoverJobs(context.Background()); resumed != 0 || adopted != 0 {
 		t.Fatalf("recoverJobs = (%d, %d), want (0, 0)", resumed, adopted)
 	}
@@ -582,5 +588,118 @@ func TestCancelFinishedJobConflict(t *testing.T) {
 	// The job itself must be untouched by the failed cancel.
 	if got := waitForJob(t, ts.URL+"/v1/jobs/"+created.ID); got.Status != "done" {
 		t.Errorf("job status after conflict: %q", got.Status)
+	}
+}
+
+// terminalGate is a job store whose Append blocks on a terminal-state
+// record until release is closed, signalling reached on the first one:
+// a terminal fsync that takes as long as the test wants.
+type terminalGate struct {
+	jobstore.Store
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (g *terminalGate) Append(rec jobstore.Record) error {
+	if rec.State.Terminal() {
+		g.once.Do(func() { close(g.reached) })
+		<-g.release
+	}
+	return g.Store.Append(rec)
+}
+
+// TestTerminalStatusPublishedAfterDurableAppend: a job's status turns
+// terminal only once its terminal record is durable. While that append
+// is in flight the run is over — its event stream has reached EOF — but
+// the job still reads running and eviction must not pick it, since a
+// crash in that window resumes it. Once the append returns, it reads
+// done, and a listing taken meanwhile waited to say so.
+func TestTerminalStatusPublishedAfterDurableAppend(t *testing.T) {
+	gate := &terminalGate{Store: jobstore.NewMemory(),
+		reached: make(chan struct{}), release: make(chan struct{})}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate.release)
+		}
+	}
+	defer release()
+	eng := engine.New(engine.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	srv := newServer(eng, gate, "", newObsPlane(), defaultOpsConfig())
+	srv.jobs.maxJobs = 1 // the next admission must evict a finished job
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+
+	const spec = `{"platform":"Hera","pattern":"uniform","n":6,"runner":"nop"}`
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var created jobStatus
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run never appended its terminal record")
+	}
+
+	// The run has returned: its event stream ends with done.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + created.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := strings.Split(strings.TrimSpace(readAll(t, resp)), "\n")
+	if last := events[len(events)-1]; !strings.Contains(last, `"done"`) {
+		t.Fatalf("event stream ends with %s, want the done event", last)
+	}
+	// The terminal record is not durable yet: the job still runs.
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st jobStatus
+	if err := json.Unmarshal([]byte(readAll(t, resp)), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != "running" || st.Report != nil {
+		t.Fatalf("status before the terminal record is durable: %+v, want running without a report", st)
+	}
+	// Nor may eviction pick it: a second admission into the full table
+	// keeps it.
+	if resp, body := postJSON(t, ts.URL+"/v1/jobs", spec); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("second job: status %d: %s", resp.StatusCode, body)
+	}
+	if _, ok := srv.jobs.get(created.ID); !ok {
+		t.Fatal("eviction picked a job whose terminal record is not durable")
+	}
+
+	// A listing reports how jobs ended, so it waits for the terminal
+	// record of a run that has returned instead of listing it running.
+	type listing struct {
+		Jobs []jobStatus `json:"jobs"`
+	}
+	listed := make(chan listing, 1)
+	go func() {
+		var l listing
+		if resp, err := http.Get(ts.URL + "/v1/jobs"); err == nil {
+			json.NewDecoder(resp.Body).Decode(&l)
+			resp.Body.Close()
+		}
+		listed <- l
+	}()
+	time.Sleep(50 * time.Millisecond) // let the listing reach its wait
+
+	release()
+	if final := waitForJob(t, ts.URL+"/v1/jobs/"+created.ID); final.Status != "done" || final.Report == nil {
+		t.Fatalf("after the terminal append: %+v, want done with a report", final)
+	}
+	l := <-listed
+	if len(l.Jobs) == 0 || l.Jobs[0].ID != created.ID || l.Jobs[0].Status != "done" {
+		t.Fatalf("listing taken while the terminal append was in flight: %+v, want %s done first", l.Jobs, created.ID)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"chainckpt/internal/runtime"
 	"chainckpt/internal/schedule"
 )
 
@@ -96,16 +97,7 @@ func (s *server) handleReplan(w http.ResponseWriter, r *http.Request) {
 	if rr.ObservedLambdaS > 0 {
 		p.LambdaS = rr.ObservedLambdaS
 	}
-	opts := req.Opts
-	opts.SolveWorkers = 1
-	rem, err := suffixBudget(rr.Schedule, rr.From, opts.MaxDiskCheckpoints, c.Len())
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	opts.MaxDiskCheckpoints = rem
-
-	res, err := s.eng.Kernel().ReplanSuffix(req.Algorithm, c, p, rr.From, opts)
+	res, err := runtime.ReplanSuffix(r.Context(), s.eng.Kernel(), req.Algorithm, c, p, rr.Schedule, rr.From, req.Opts)
 	if err != nil {
 		s.planErrors.Add(1)
 		writeError(w, http.StatusUnprocessableEntity, err)

@@ -30,6 +30,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -713,10 +714,9 @@ func (e *execution) verifyStation(ctx context.Context, st schedule.Station) (int
 // right after a disk recovery), where the model's "start fresh from a
 // stored state" assumption holds.
 //
-// The re-solve goes straight to the solver kernel: ReplanSuffix plans
-// the window after the splice point against the original chain and cost
-// table (no synthetic suffix chain, no cost-table slicing, no engine
-// round-trip) with pooled scratch sized to the suffix.
+// The re-solve is ReplanSuffix: the solver kernel, in place, under the
+// disk-checkpoint budget the committed prefix left. An exhausted budget
+// skips the re-plan silently.
 func (e *execution) maybeReplan(ctx context.Context) {
 	if e.adapt == nil || e.cur >= e.c.Len() {
 		return
@@ -744,42 +744,17 @@ func (e *execution) maybeReplan(ctx context.Context) {
 		updated.LambdaS = e.est.silent.replanRate(updated.LambdaS, e.adapt.MinEvents)
 	}
 
-	n := e.c.Len()
-	m := n - e.cur
-	// SolveWorkers: 1 keeps the DP serial, matching the engine-worker
-	// convention: concurrent jobs are the parallelism, a re-plan must
-	// not fan out across every core mid-run.
-	opts := core.Options{Costs: e.job.Costs, SolveWorkers: 1}
-	if e.job.MaxDiskCheckpoints > 0 {
-		// The suffix only gets the budget not yet spent on committed
-		// disk checkpoints behind the splice point.
-		used := 0
-		for pos := 1; pos <= e.cur; pos++ {
-			if e.sched.At(pos).Has(schedule.Disk) {
-				used++
-			}
-		}
-		rem := e.job.MaxDiskCheckpoints - used
-		if rem < 1 {
-			return // no budget left to re-plan the suffix under
-		}
-		if rem > m {
-			rem = m
-		}
-		opts.MaxDiskCheckpoints = rem
-	}
-	rsp := e.span.Child("runtime.replan")
 	var rstart time.Time
 	if e.sup.m != nil {
 		rstart = time.Now()
 	}
-	res, err := e.sup.kern.ReplanSuffix(e.job.Algorithm, e.c, updated, e.cur, opts)
+	res, err := ReplanSuffix(ctx, e.sup.kern, e.job.Algorithm, e.c, updated, e.sched, e.cur,
+		core.Options{Costs: e.job.Costs, MaxDiskCheckpoints: e.job.MaxDiskCheckpoints})
+	if errors.Is(err, errNoSuffixBudget) {
+		return // no budget left to re-plan the suffix under
+	}
 	if e.sup.m != nil {
 		e.sup.m.ReplanSeconds.ObserveSince(rstart)
-	}
-	if rsp != nil {
-		rsp.SetAttrInt("from", int64(e.cur))
-		rsp.End()
 	}
 	if err != nil {
 		// A failed re-plan is not fatal: keep executing the current
@@ -792,4 +767,44 @@ func (e *execution) maybeReplan(ctx context.Context) {
 	e.counters.Replans++
 	e.sup.replans.Add(1)
 	e.emit("replan", e.cur)
+}
+
+// errNoSuffixBudget is ReplanSuffix's answer when the committed prefix
+// has spent the whole run's disk-checkpoint budget.
+var errNoSuffixBudget = errors.New("no disk-checkpoint budget left for the suffix")
+
+// ReplanSuffix re-solves the dynamic program for the window after
+// boundary from of sched under platform p, straight through the solver
+// kernel: the original chain and cost table, pooled scratch sized to
+// the suffix, no synthetic suffix chain. opts.MaxDiskCheckpoints is the
+// whole run's disk-checkpoint budget (0 = unlimited); the suffix gets
+// only what the committed prefix of sched has not spent, clamped to its
+// length, and an exhausted budget fails before any solve — the suffix's
+// mandatory final checkpoint alone would bust the bound. The solve is
+// serial (SolveWorkers 1): concurrent jobs are the parallelism, and a
+// re-plan must not fan out across every core mid-run. The re-solve is
+// a runtime.replan span under ctx's span.
+func ReplanSuffix(ctx context.Context, k *core.Kernel, alg core.Algorithm, c *chain.Chain,
+	p platform.Platform, sched *schedule.Schedule, from int, opts core.Options) (*core.Result, error) {
+	if opts.MaxDiskCheckpoints > 0 {
+		used := 0
+		for pos := 1; pos <= from; pos++ {
+			if sched.At(pos).Has(schedule.Disk) {
+				used++
+			}
+		}
+		rem := opts.MaxDiskCheckpoints - used
+		if rem < 1 {
+			return nil, errNoSuffixBudget
+		}
+		opts.MaxDiskCheckpoints = min(rem, c.Len()-from)
+	}
+	opts.SolveWorkers = 1
+	sp := obs.SpanFrom(ctx).Child("runtime.replan")
+	res, err := k.ReplanSuffix(alg, c, p, from, opts)
+	if sp != nil {
+		sp.SetAttrInt("from", int64(from))
+		sp.End()
+	}
+	return res, err
 }
